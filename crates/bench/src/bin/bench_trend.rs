@@ -13,17 +13,19 @@
 //! | `monitor` | `node_ratio` (batch / incremental search nodes — deterministic) | history length (`events`) |
 //! | `typed-objects` | `commits_per_sec` of the typed storms | tm × object × threads |
 //! | `clocks` | `commits_per_sec` of the commit storm | tm × clock × threads |
-//! | `search` | `nodes_per_sec` of the parallel batch search | worker count, prefixed by the point's `workload` when present (e.g. `rt_chain/workers=8`) |
+//! | `search` | folded `check.verdict_ns` percentiles (`hist_p50_ns`, `hist_p95_ns`) of the streaming monitor — **lower** is better | memo cap (`latency/cap=…/…`) |
 //! | `serve` | `verdicts_per_sec` of the multiplexed replay daemon | session count × memo budget |
 //!
-//! The `search` artifact's verdict-latency points additionally contribute
-//! their folded `check.verdict_ns` histogram percentiles (`hist_p50_ns`,
-//! `hist_p95_ns`) as **lower-is-better** trend points keyed
-//! `latency/cap=…/…`; latency points without histogram fields (older
-//! baselines) are skipped. The `serve` artifact's points do the same with
-//! the daemon's `serve.verdict_ns` histogram, keyed
-//! `latency/sessions=…/budget=…/…`. CI diffs these warn-only: timing
+//! In the `search` artifact only the verdict-latency points trend; points
+//! without histogram fields — the batch bounded-memo points, and the
+//! worker-scaling points older baselines still carry — are skipped. The
+//! `serve` artifact's points also contribute the daemon's
+//! `serve.verdict_ns` histogram percentiles as lower-is-better points,
+//! keyed `latency/sessions=…/budget=…/…`. CI diffs these warn-only: timing
 //! percentiles are noisier than the deterministic node counts.
+//!
+//! Artifacts are read with the workspace's one JSON reader,
+//! [`tm_trace::Json`].
 //!
 //! A point regresses when the current metric moves more than the threshold
 //! in its bad direction (down for throughput-like metrics, up for
@@ -35,23 +37,30 @@
 //! line and exits `0`. CI runs this as a warn-only step against the
 //! previous run's cached artifacts.
 
-/// Extracts the leading JSON number after `"key":` in `line`.
-fn field(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let pos = line.find(&pat)?;
-    let rest = line[pos + pat.len()..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+use tm_trace::Json;
+
+/// The number at `key` of a point object (integer or float).
+fn num(point: &Json, key: &str) -> Option<f64> {
+    match point.get(key)? {
+        Json::Int(i) => Some(*i as f64),
+        Json::Float(f) => Some(*f),
+        _ => None,
+    }
 }
 
-/// Extracts the JSON string after `"key":` in `line`.
-fn sfield(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let pos = line.find(&pat)?;
-    let rest = line[pos + pat.len()..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
+/// The string at `key` of a point object.
+fn text<'a>(point: &'a Json, key: &str) -> Option<&'a str> {
+    match point.get(key)? {
+        Json::Str(s) => Some(s),
+        _ => None,
+    }
+}
+
+/// A field that is either a string (`"unbounded"`) or an integer, as text.
+fn label(point: &Json, key: &str) -> Option<String> {
+    text(point, key)
+        .map(str::to_string)
+        .or_else(|| num(point, key).map(|v| (v as u64).to_string()))
 }
 
 /// A keyed trend point with its improvement direction.
@@ -88,30 +97,30 @@ struct Artifact {
     points: Vec<Point>,
 }
 
-/// Parses a `BENCH_*.json` body (one point object per line, as the
-/// `report` bin writes them) into keyed metric points.
-fn parse_artifact(json: &str) -> Option<Artifact> {
-    let kind = json.lines().find_map(|l| sfield(l, "bench"))?;
+/// Parses a `BENCH_*.json` document into its kind and keyed metric points.
+fn parse_artifact(json: &str) -> Result<Artifact, String> {
+    let doc = Json::parse(json).map_err(|e| e.to_string())?;
+    let kind = text(&doc, "bench")
+        .ok_or("no \"bench\" kind found")?
+        .to_string();
+    let Some(Json::Arr(items)) = doc.get("points") else {
+        return Err("no \"points\" array found".to_string());
+    };
     let mut points = Vec::new();
-    for line in json.lines() {
+    for p in items {
         match kind.as_str() {
             "monitor" => {
-                let Some(events) = field(line, "events") else {
-                    continue;
-                };
-                if let Some(v) = field(line, "node_ratio") {
+                if let (Some(events), Some(v)) = (num(p, "events"), num(p, "node_ratio")) {
                     points.push(Point::higher(format!("events={}", events as u64), v));
                 }
             }
             "typed-objects" => {
-                let (Some(tm), Some(object), Some(threads)) = (
-                    sfield(line, "tm"),
-                    sfield(line, "object"),
-                    field(line, "threads"),
-                ) else {
-                    continue;
-                };
-                if let Some(v) = field(line, "commits_per_sec") {
+                if let (Some(tm), Some(object), Some(threads), Some(v)) = (
+                    text(p, "tm"),
+                    text(p, "object"),
+                    num(p, "threads"),
+                    num(p, "commits_per_sec"),
+                ) {
                     points.push(Point::higher(
                         format!("{tm}/{object}/t{}", threads as u64),
                         v,
@@ -119,14 +128,12 @@ fn parse_artifact(json: &str) -> Option<Artifact> {
                 }
             }
             "clocks" => {
-                let (Some(tm), Some(clock), Some(threads)) = (
-                    sfield(line, "tm"),
-                    sfield(line, "clock"),
-                    field(line, "threads"),
-                ) else {
-                    continue;
-                };
-                if let Some(v) = field(line, "commits_per_sec") {
+                if let (Some(tm), Some(clock), Some(threads), Some(v)) = (
+                    text(p, "tm"),
+                    text(p, "clock"),
+                    num(p, "threads"),
+                    num(p, "commits_per_sec"),
+                ) {
                     points.push(Point::higher(
                         format!("{tm}+{clock}/t{}", threads as u64),
                         v,
@@ -134,52 +141,36 @@ fn parse_artifact(json: &str) -> Option<Artifact> {
                 }
             }
             "search" => {
-                if let Some(workers) = field(line, "workers") {
-                    // Scaling points. Points with a "workload" discriminator
-                    // (e.g. rt_chain) are keyed per workload; legacy knot
-                    // points keep the bare key.
-                    let workers = workers as u64;
-                    let key = match sfield(line, "workload") {
-                        Some(w) => format!("{w}/workers={workers}"),
-                        None => format!("workers={workers}"),
-                    };
-                    if let Some(v) = field(line, "nodes_per_sec") {
-                        points.push(Point::higher(key, v));
-                    }
-                } else if field(line, "hist_count").is_some() {
-                    // Verdict-latency points: the folded histogram
-                    // percentiles trend lower-is-better, keyed per memo cap.
-                    let cap = sfield(line, "cap")
-                        .or_else(|| field(line, "cap").map(|c| (c as u64).to_string()))
-                        .unwrap_or_else(|| "?".to_string());
-                    for metric in ["hist_p50_ns", "hist_p95_ns"] {
-                        if let Some(v) = field(line, metric) {
-                            points.push(Point::lower(format!("latency/cap={cap}/{metric}"), v));
-                        }
+                // Verdict-latency points: the folded histogram percentiles
+                // trend lower-is-better, keyed per memo cap.
+                if p.get("hist_count").is_none() {
+                    continue;
+                }
+                let cap = label(p, "cap").unwrap_or_else(|| "?".to_string());
+                for metric in ["hist_p50_ns", "hist_p95_ns"] {
+                    if let Some(v) = num(p, metric) {
+                        points.push(Point::lower(format!("latency/cap={cap}/{metric}"), v));
                     }
                 }
             }
             "serve" => {
-                let (Some(sessions), Some(budget)) = (
-                    field(line, "sessions"),
-                    sfield(line, "budget")
-                        .or_else(|| field(line, "budget").map(|b| (b as u64).to_string())),
-                ) else {
+                let (Some(sessions), Some(budget)) = (num(p, "sessions"), label(p, "budget"))
+                else {
                     continue;
                 };
                 // faults=on points (chaos-plan overhead) trend separately;
                 // faults=off (and legacy artifacts without the field) keep
                 // the bare key so baselines stay comparable.
-                let chaos = match sfield(line, "faults") {
-                    Some(f) if f == "on" => "/faults=on",
+                let chaos = match text(p, "faults") {
+                    Some("on") => "/faults=on",
                     _ => "",
                 };
                 let key = format!("sessions={}/budget={budget}{chaos}", sessions as u64);
-                if let Some(v) = field(line, "verdicts_per_sec") {
+                if let Some(v) = num(p, "verdicts_per_sec") {
                     points.push(Point::higher(key.clone(), v));
                 }
                 for metric in ["hist_p50_ns", "hist_p95_ns"] {
-                    if let Some(v) = field(line, metric) {
+                    if let Some(v) = num(p, metric) {
                         points.push(Point::lower(format!("latency/{key}/{metric}"), v));
                     }
                 }
@@ -187,7 +178,7 @@ fn parse_artifact(json: &str) -> Option<Artifact> {
             _ => {}
         }
     }
-    Some(Artifact { kind, points })
+    Ok(Artifact { kind, points })
 }
 
 /// One comparison row.
@@ -266,8 +257,8 @@ fn main() {
         })
     };
     let parse = |path: &str| -> Artifact {
-        parse_artifact(&read(path)).unwrap_or_else(|| {
-            eprintln!("bench_trend: {path}: no \"bench\" kind found");
+        parse_artifact(&read(path)).unwrap_or_else(|e| {
+            eprintln!("bench_trend: {path}: {e}");
             std::process::exit(2);
         })
     };
@@ -304,7 +295,7 @@ fn main() {
     }
     let metric = match current.kind.as_str() {
         "monitor" => "node ratio",
-        "search" => "nodes/sec (or ns, lower-is-better on latency/ keys)",
+        "search" => "verdict ns (lower is better)",
         "serve" => "verdicts/sec (or ns, lower-is-better on latency/ keys)",
         _ => "commits/sec",
     };
@@ -388,28 +379,26 @@ mod tests {
     {"workers": 8, "wall_ns": 250000, "nodes": 33163, "nodes_per_sec": 132652000, "speedup": 4.00},
     {"workload": "rt_chain", "workers": 1, "wall_ns": 2000000, "nodes": 50000, "nodes_per_sec": 25000000, "speedup": 1.00, "splits": 0, "donated_tasks": 0},
     {"workload": "rt_chain", "workers": 8, "wall_ns": 400000, "nodes": 50100, "nodes_per_sec": 125250000, "speedup": 5.00, "splits": 40, "donated_tasks": 90},
+    {"batch_cap": 150, "nodes": 460, "resident": 148, "evictions": 168, "node_overhead_pct": 0.00},
     {"cap": "unbounded", "events": 192, "p50_ns": 900, "p95_ns": 4000, "p99_ns": 9000, "resident": 484, "evictions": 0, "total_nodes": 3567},
     {"cap": 121, "events": 192, "p50_ns": 950, "p95_ns": 4200, "p99_ns": 9400, "resident": 120, "evictions": 214, "total_nodes": 3789, "hist_count": 96, "hist_p50_ns": 1024, "hist_p95_ns": 4095, "hist_p99_ns": 8191}
   ]
 }"#;
 
     #[test]
-    fn extracts_search_scaling_points_and_latency_histograms() {
+    fn skips_search_scaling_points_and_extracts_latency_histograms() {
         let a = parse_artifact(SEARCH).unwrap();
         assert_eq!(a.kind, "search");
         assert_eq!(
             a.points,
             vec![
-                Point::higher("workers=1".to_string(), 33_076_000.0),
-                Point::higher("workers=8".to_string(), 132_652_000.0),
-                Point::higher("rt_chain/workers=1".to_string(), 25_000_000.0),
-                Point::higher("rt_chain/workers=8".to_string(), 125_250_000.0),
                 Point::lower("latency/cap=121/hist_p50_ns".to_string(), 1024.0),
                 Point::lower("latency/cap=121/hist_p95_ns".to_string(), 4095.0),
             ],
             "latency points trend only through their folded histogram \
-             fields (lower-is-better); pre-histogram baselines are skipped; \
-             rt_chain points get workload-prefixed keys"
+             fields (lower-is-better); the worker-scaling points of older \
+             baselines, batch-cap points and pre-histogram latency points \
+             are skipped"
         );
     }
 
@@ -466,16 +455,9 @@ mod tests {
             a.points,
             vec![Point::higher("tl2/counter/t2".to_string(), 60_000.0)]
         );
-        assert!(parse_artifact("{}").is_none());
-    }
-
-    #[test]
-    fn field_parses_ints_floats_and_negatives() {
-        assert_eq!(field(r#"{"x": 42,"#, "x"), Some(42.0));
-        assert_eq!(field(r#"{"x": -1.5}"#, "x"), Some(-1.5));
-        assert_eq!(field(r#"{"y": 1}"#, "x"), None);
-        assert_eq!(sfield(r#"{"tm": "tl2","#, "tm"), Some("tl2".to_string()));
-        assert_eq!(sfield(r#"{"tm": 3}"#, "tm"), None);
+        assert!(parse_artifact("{}").is_err());
+        assert!(parse_artifact(r#"{"bench": "clocks"}"#).is_err());
+        assert!(parse_artifact(r#"{"bench": "clocks", "points": [1.5e"#).is_err());
     }
 
     #[test]

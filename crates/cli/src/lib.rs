@@ -72,22 +72,14 @@ use tm_trace::{from_json, from_text, to_json_pretty, to_text};
 /// A parsed command line.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Command {
-    /// `check <file> [--search-jobs N] [--memo-cap M] [--split-depth D]
-    /// [--split-granularity G] [--metrics-out FILE] [--trace-out FILE]
+    /// `check <file> [--memo-cap M] [--metrics-out FILE] [--trace-out FILE]
     /// [--progress]`
     Check {
         /// Input path (`-` = stdin).
         file: String,
-        /// Worker threads for the serialization search itself (`0` = auto:
-        /// one per hardware thread).
-        search_jobs: usize,
         /// Bound on resident dead-end memo entries (≥ 1; default
         /// unbounded).
         memo_cap: Option<usize>,
-        /// Depth window for dynamic subtree splitting (`0` disables).
-        split_depth: usize,
-        /// Minimum untried candidates a frame needs to donate one (≥ 1).
-        split_granularity: usize,
         /// Write a `tm-metrics/v1` JSON metrics snapshot here.
         metrics_out: Option<String>,
         /// Write a Chrome-trace JSON span file here.
@@ -121,21 +113,14 @@ pub enum Command {
         /// Emit JSON instead of text.
         json: bool,
     },
-    /// `conformance [--jobs N] [--search-jobs N] [--memo-cap M] [--tm SPEC]
-    /// [--clock SCHEME] [--mutants] [--objects SET]`
+    /// `conformance [--jobs N] [--memo-cap M] [--tm SPEC] [--clock SCHEME]
+    /// [--mutants] [--objects SET]`
     Conformance {
         /// Worker threads for the interleaving sweep (≥ 1).
         jobs: usize,
-        /// Worker threads for each individual serialization search (`0` =
-        /// auto: one per hardware thread).
-        search_jobs: usize,
         /// Bound on each search's resident dead-end memo entries (≥ 1;
         /// default unbounded).
         memo_cap: Option<usize>,
-        /// Depth window for dynamic subtree splitting (`0` disables).
-        split_depth: usize,
-        /// Minimum untried candidates a frame needs to donate one (≥ 1).
-        split_granularity: usize,
         /// Restrict to one TM spec (`tl2`, `tl2+sharded:16`, …; default:
         /// the whole suite).
         tm: Option<String>,
@@ -220,24 +205,12 @@ tmcheck — opacity checker for transactional-memory traces
   (Guerraoui & Kapałka, \"On the Correctness of Transactional Memory\", PPoPP 2008)
 
 USAGE:
-  tmcheck check    <file> [--search-jobs N] [--memo-cap M]
-                          [--split-depth D] [--split-granularity G]
+  tmcheck check    <file> [--memo-cap M]
                           [--metrics-out FILE] [--trace-out FILE] [--progress]
                                     opacity verdict + witness (exit 1 if
-                                    violated); --search-jobs N drives the
-                                    serialization search with N work-stealing
-                                    workers sharing the dead-end memo (0 =
-                                    auto: one per hardware thread; verdict
-                                    identical to the sequential search);
-                                    --memo-cap M bounds the resident memo
-                                    entries with segmented-LRU eviction;
-                                    --split-depth D sets the window (relative
-                                    to each task's root) in which busy
-                                    workers donate untried branches to hungry
-                                    workers (0 = root-only parallelism,
-                                    default 8), --split-granularity G the
-                                    minimum untried candidates a frame needs
-                                    before donating one (default 1);
+                                    violated); --memo-cap M bounds the
+                                    resident memo entries with cost-ranked
+                                    eviction (verdict unchanged);
                                     --metrics-out writes a tm-metrics/v1 JSON
                                     snapshot of search/memo/verdict counters,
                                     --trace-out a Chrome-trace (Perfetto-
@@ -248,17 +221,15 @@ USAGE:
   tmcheck graph    <file>           Graphviz DOT of the Section-5.4 opacity graph
   tmcheck convert  <file> --json|--text    convert between trace formats
   tmcheck generate [--seed N] [--txs N] [--objs N] [--ops N] [--json]
-  tmcheck conformance [--jobs N] [--search-jobs N] [--memo-cap M]
-                      [--split-depth D] [--split-granularity G] [--tm SPEC]
+  tmcheck conformance [--jobs N] [--memo-cap M] [--tm SPEC]
                       [--clock SCHEME] [--mutants] [--objects SET]
                       [--metrics-out FILE] [--trace-out FILE]
                                     run the TM conformance battery (exit 1 if
                                     any swept TM violates a contract); --jobs
                                     shards the sweep deterministically;
-                                    --search-jobs/--memo-cap/--split-depth/
-                                    --split-granularity configure each
-                                    individual history check as in `check`
-                                    (output is invariant under all); --tm
+                                    --memo-cap bounds each individual history
+                                    check as in `check` (output is invariant
+                                    under both); --tm
                                     takes a spec (tl2, tl2+sharded:16, …);
                                     --clock single|sharded[:N]|deferred sweeps
                                     the clocked TMs (tl2, mvstm, sistm) under
@@ -358,19 +329,6 @@ fn path_flag(
         .ok_or_else(|| format!("{cmd}: {flag} needs a file path"))
 }
 
-/// Parses `--search-jobs`/`--split-depth` style values, where `0` is a
-/// meaningful setting (auto-parallelism / splitting disabled).
-fn nonneg_flag(
-    it: &mut std::slice::Iter<'_, String>,
-    cmd: &str,
-    flag: &str,
-    zero_means: &str,
-) -> Result<usize, String> {
-    it.next()
-        .and_then(|v| v.parse::<usize>().ok())
-        .ok_or_else(|| format!("{cmd}: {flag} needs a number ≥ 0 (0 = {zero_means})"))
-}
-
 /// Parses command-line arguments (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, String> {
     let mut it = args.iter();
@@ -383,27 +341,14 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
     match cmd.as_str() {
         "check" => {
             let file = file_arg(&mut it)?;
-            let defaults = SearchConfig::default();
-            let mut search_jobs = 1usize;
             let mut memo_cap = None;
-            let mut split_depth = defaults.split_depth;
-            let mut split_granularity = defaults.split_granularity;
             let mut metrics_out = None;
             let mut trace_out = None;
             let mut progress = false;
             while let Some(flag) = it.next() {
                 match flag.as_str() {
-                    "--search-jobs" => {
-                        search_jobs = nonneg_flag(&mut it, "check", "--search-jobs", "auto")?;
-                    }
                     "--memo-cap" => {
                         memo_cap = Some(positive_flag(&mut it, "check", "--memo-cap")?);
-                    }
-                    "--split-depth" => {
-                        split_depth = nonneg_flag(&mut it, "check", "--split-depth", "disabled")?;
-                    }
-                    "--split-granularity" => {
-                        split_granularity = positive_flag(&mut it, "check", "--split-granularity")?;
                     }
                     "--metrics-out" => {
                         metrics_out = Some(path_flag(&mut it, "check", "--metrics-out")?);
@@ -417,10 +362,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Check {
                 file,
-                search_jobs,
                 memo_cap,
-                split_depth,
-                split_granularity,
                 metrics_out,
                 trace_out,
                 progress,
@@ -487,12 +429,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
         }
         "list" => Ok(Command::List),
         "conformance" => {
-            let defaults = SearchConfig::default();
             let mut jobs = 1usize;
-            let mut search_jobs = 1usize;
             let mut memo_cap = None;
-            let mut split_depth = defaults.split_depth;
-            let mut split_granularity = defaults.split_granularity;
             let mut tm = None;
             let mut clock = None;
             let mut mutants = false;
@@ -504,19 +442,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                     "--jobs" => {
                         jobs = positive_flag(&mut it, "conformance", "--jobs")?;
                     }
-                    "--search-jobs" => {
-                        search_jobs = nonneg_flag(&mut it, "conformance", "--search-jobs", "auto")?;
-                    }
                     "--memo-cap" => {
                         memo_cap = Some(positive_flag(&mut it, "conformance", "--memo-cap")?);
-                    }
-                    "--split-depth" => {
-                        split_depth =
-                            nonneg_flag(&mut it, "conformance", "--split-depth", "disabled")?;
-                    }
-                    "--split-granularity" => {
-                        split_granularity =
-                            positive_flag(&mut it, "conformance", "--split-granularity")?;
                     }
                     "--tm" => {
                         tm = Some(
@@ -555,10 +482,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             }
             Ok(Command::Conformance {
                 jobs,
-                search_jobs,
                 memo_cap,
-                split_depth,
-                split_granularity,
                 tm,
                 clock,
                 mutants,
@@ -772,7 +696,7 @@ fn write_artifacts(
 
 /// A live single-line progress display on stderr, fed by the observability
 /// sink's `search.nodes_live` counter (updated once per kilonode by the
-/// search workers). Dropping the guard stops the ticker and clears the
+/// search). Dropping the guard stops the ticker and clears the
 /// line, so the verdict output below is never interleaved with it.
 struct Progress {
     stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
@@ -841,10 +765,7 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
         }
         Command::Check {
             file,
-            search_jobs,
             memo_cap,
-            split_depth,
-            split_granularity,
             metrics_out,
             trace_out,
             progress,
@@ -853,10 +774,7 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
             tm_model::check_well_formed(&h).map_err(|e| format!("not well-formed: {e}"))?;
             let obs = obs_for(metrics_out, trace_out, *progress);
             let config = SearchConfig {
-                search_jobs: *search_jobs,
                 memo_capacity: *memo_cap,
-                split_depth: *split_depth,
-                split_granularity: *split_granularity,
                 obs,
                 ..SearchConfig::default()
             };
@@ -872,23 +790,6 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                     h.txs().len()
                 ),
             )?;
-            let parallel_line = |out: &mut dyn Write| -> Result<(), String> {
-                if *search_jobs != 1 {
-                    w(
-                        out,
-                        format!(
-                            "parallel: {} workers, {} steals, {} splits, {} donated tasks, \
-                             {} cancelled",
-                            report.stats.workers,
-                            report.stats.steals,
-                            report.stats.splits,
-                            report.stats.donated_tasks,
-                            report.stats.cancelled_tasks
-                        ),
-                    )?;
-                }
-                Ok(())
-            };
             if report.opaque {
                 w(out, "verdict: OPAQUE".to_string())?;
                 if let Some(witness) = &report.witness {
@@ -903,7 +804,6 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                     out,
                     format!("search: {} nodes explored", report.stats.nodes),
                 )?;
-                parallel_line(out)?;
                 Ok(0)
             } else {
                 w(out, "verdict: NOT OPAQUE".to_string())?;
@@ -911,7 +811,6 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
                     out,
                     format!("search: {} nodes explored", report.stats.nodes),
                 )?;
-                parallel_line(out)?;
                 w(
                     out,
                     "hint: run `tmcheck explain` for the violation localization".to_string(),
@@ -1088,10 +987,7 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
         }
         Command::Conformance {
             jobs,
-            search_jobs,
             memo_cap,
-            split_depth,
-            split_granularity,
             tm,
             clock,
             mutants,
@@ -1102,10 +998,7 @@ fn execute(cmd: &Command, out: &mut dyn Write) -> Result<i32, String> {
             use tm_harness::{conformance_parallel_with, object_conformance_with};
             let obs = obs_for(metrics_out, trace_out, false);
             let search = SearchConfig {
-                search_jobs: *search_jobs,
                 memo_capacity: *memo_cap,
-                split_depth: *split_depth,
-                split_granularity: *split_granularity,
                 obs,
                 ..SearchConfig::default()
             };
@@ -1614,10 +1507,7 @@ mod tests {
     fn check_cmd(file: String) -> Command {
         Command::Check {
             file,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             metrics_out: None,
             trace_out: None,
             progress: false,
@@ -1646,13 +1536,10 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         let a = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
         assert_eq!(parse_args(&a("check f")), Ok(check_cmd("f".into())));
         assert_eq!(
-            parse_args(&a("check f --search-jobs 8 --memo-cap 4096")),
+            parse_args(&a("check f --memo-cap 4096")),
             Ok(Command::Check {
                 file: "f".into(),
-                search_jobs: 8,
                 memo_cap: Some(4096),
-                split_depth: 8,
-                split_granularity: 1,
                 metrics_out: None,
                 trace_out: None,
                 progress: false,
@@ -1689,10 +1576,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance")),
             Ok(Command::Conformance {
                 jobs: 1,
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 tm: None,
                 clock: None,
                 mutants: false,
@@ -1705,10 +1589,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance --jobs 4 --tm tl2 --mutants")),
             Ok(Command::Conformance {
                 jobs: 4,
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 tm: Some("tl2".into()),
                 clock: None,
                 mutants: true,
@@ -1721,10 +1602,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance --objects all")),
             Ok(Command::Conformance {
                 jobs: 1,
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 tm: None,
                 clock: None,
                 mutants: false,
@@ -1737,10 +1615,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance --objects set,queue --tm sistm")),
             Ok(Command::Conformance {
                 jobs: 1,
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 tm: Some("sistm".into()),
                 clock: None,
                 mutants: false,
@@ -1770,58 +1645,47 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             ("generate --seed", "--seed needs a number"),
             ("conformance --jobs 0", "--jobs needs a number ≥ 1"),
             ("conformance --jobs -3", "--jobs needs a number ≥ 1"),
-            (
-                "conformance --search-jobs x",
-                "--search-jobs needs a number ≥ 0 (0 = auto)",
-            ),
             ("conformance --memo-cap 0", "--memo-cap needs a number ≥ 1"),
             ("conformance --memo-cap", "--memo-cap needs a number ≥ 1"),
-            (
-                "check f --search-jobs -2",
-                "--search-jobs needs a number ≥ 0 (0 = auto)",
-            ),
-            (
-                "check f --search-jobs",
-                "--search-jobs needs a number ≥ 0 (0 = auto)",
-            ),
             ("check f --memo-cap -1", "--memo-cap needs a number ≥ 1"),
-            (
-                "check f --split-depth x",
-                "--split-depth needs a number ≥ 0 (0 = disabled)",
-            ),
-            (
-                "conformance --split-granularity 0",
-                "--split-granularity needs a number ≥ 1",
-            ),
         ] {
             let err = parse_args(&a(args)).unwrap_err();
             assert!(err.contains(needle), "{args}: {err}");
         }
-        // Boundary values stay accepted; --search-jobs 0 now means "auto".
+        // Boundary values stay accepted.
         assert!(parse_args(&a("generate --txs 1 --objs 1 --ops 1 --seed 0")).is_ok());
-        assert!(parse_args(&a("check f --search-jobs 1 --memo-cap 1")).is_ok());
-        assert!(parse_args(&a("conformance --search-jobs 1 --memo-cap 1")).is_ok());
-        assert!(parse_args(&a(
-            "check f --search-jobs 0 --split-depth 0 --split-granularity 1"
-        ))
-        .is_ok());
-        assert!(parse_args(&a("conformance --search-jobs 0 --split-depth 16")).is_ok());
+        assert!(parse_args(&a("check f --memo-cap 1")).is_ok());
+        assert!(parse_args(&a("conformance --memo-cap 1")).is_ok());
+    }
+
+    #[test]
+    fn removed_search_flags_are_unknown_flags() {
+        // The intra-check parallelism flags are gone: each is an unknown
+        // flag like any typo, which `main` reports with the usage text and
+        // exit code 2.
+        let a = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        for cmd in ["check f", "conformance"] {
+            let name = cmd.split(' ').next().unwrap();
+            for flag in ["--search-jobs", "--split-depth", "--split-granularity"] {
+                assert_eq!(
+                    parse_args(&a(&format!("{cmd} {flag} 1"))),
+                    Err(format!("{name}: unknown flag '{flag}'"))
+                );
+            }
+        }
     }
 
     #[test]
     fn check_verdict_is_invariant_under_search_knobs() {
-        // The parallel, bounded search must not change any verdict the CLI
-        // reports — same exit code and same OPAQUE/NOT OPAQUE line.
+        // The bounded search must not change any verdict the CLI reports —
+        // same exit code and same OPAQUE/NOT OPAQUE line.
         for (trace, expected) in [(OPAQUE_TRACE, 0), (H1_TRACE, 1)] {
             let f = fixture("knobs", trace);
             let (code, _out) = run_str(&check_cmd(f.clone()));
             assert_eq!(code, expected);
             let (code_p, out_p) = run_str(&Command::Check {
                 file: f,
-                search_jobs: 4,
                 memo_cap: Some(8),
-                split_depth: 8,
-                split_granularity: 1,
                 metrics_out: None,
                 trace_out: None,
                 progress: false,
@@ -1831,40 +1695,10 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     }
 
     #[test]
-    fn parallel_check_surfaces_split_counters() {
-        // With more than one search job the check report must expose the
-        // work-stealing telemetry, including the new split counters.
-        let f = fixture("split-counters", OPAQUE_TRACE);
-        let (code, out) = run_str(&Command::Check {
-            file: f,
-            search_jobs: 4,
-            memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
-            metrics_out: None,
-            trace_out: None,
-            progress: false,
-        });
-        assert_eq!(code, 0, "{out}");
-        assert!(out.contains("workers,"), "{out}");
-        assert!(!out.contains(" 0 workers"), "{out}");
-        assert!(out.contains("splits"), "{out}");
-        assert!(out.contains("donated tasks"), "{out}");
-        // The sequential engine stays quiet about parallel telemetry.
-        let f = fixture("split-counters-seq", OPAQUE_TRACE);
-        let (code, out) = run_str(&check_cmd(f));
-        assert_eq!(code, 0, "{out}");
-        assert!(!out.contains("splits"), "{out}");
-    }
-
-    #[test]
     fn conformance_output_is_invariant_under_search_knobs() {
-        let cmd = |search_jobs, memo_cap, split_depth, split_granularity| Command::Conformance {
+        let cmd = |memo_cap| Command::Conformance {
             jobs: 1,
-            search_jobs,
             memo_cap,
-            split_depth,
-            split_granularity,
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
@@ -1872,27 +1706,14 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             metrics_out: None,
             trace_out: None,
         };
-        let (code1, baseline) = run_str(&cmd(1, None, 8, 1));
+        let (code1, baseline) = run_str(&cmd(None));
         assert_eq!(code1, 0, "{baseline}");
-        // Parallelism, bounded memo, and the splitting discipline (every
-        // split_depth/split_granularity corner incl. disabled and auto
-        // jobs) may only change speed, never a byte of the battery.
-        for (sj, cap, sd, sg) in [
-            (2, None, 8, 1),
-            (1, Some(32), 8, 1),
-            (3, Some(8), 8, 1),
-            (4, None, 0, 1),
-            (4, None, 1, 1),
-            (4, None, 64, 3),
-            (0, Some(16), 2, 2),
-        ] {
-            let (code, out) = run_str(&cmd(sj, cap, sd, sg));
+        // A bounded memo may only change speed, never a byte of the
+        // battery.
+        for cap in [32, 16, 8] {
+            let (code, out) = run_str(&cmd(Some(cap)));
             assert_eq!(code, 0, "{out}");
-            assert_eq!(
-                out, baseline,
-                "search-jobs={sj} memo-cap={cap:?} split-depth={sd} \
-                 split-granularity={sg} changed the battery"
-            );
+            assert_eq!(out, baseline, "memo-cap={cap} changed the battery");
         }
     }
 
@@ -1999,10 +1820,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // sweep across 4 workers is invisible in the rendered battery.
         let (code1, seq) = run_str(&Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: None,
             clock: None,
             mutants: false,
@@ -2012,10 +1830,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         });
         let (code4, par) = run_str(&Command::Conformance {
             jobs: 4,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: None,
             clock: None,
             mutants: false,
@@ -2034,10 +1849,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_single_tm_and_unknown_tm() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
@@ -2050,10 +1862,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         assert!(!out.contains("glock"));
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("nonesuch".into()),
             clock: None,
             mutants: false,
@@ -2072,10 +1881,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // row, not a battery failure — exit code stays 0.
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("sistm".into()),
             clock: None,
             mutants: false,
@@ -2093,10 +1899,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // An opaque TM passes the same probe.
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
@@ -2116,10 +1919,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_objects_output_is_identical_across_job_counts() {
         let cmd = |jobs| Command::Conformance {
             jobs,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
@@ -2149,10 +1949,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_clock_flag_sweeps_the_clocked_tms() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: None,
             clock: Some(tm_stm::ClockScheme::Sharded(4)),
             mutants: false,
@@ -2174,10 +1971,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_tm_accepts_full_specs() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("tl2+deferred".into()),
             clock: None,
             mutants: false,
@@ -2194,10 +1988,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // Clock scheme on a clockless TM.
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("dstm".into()),
             clock: Some(tm_stm::ClockScheme::Deferred),
             mutants: false,
@@ -2210,10 +2001,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         // Clock given twice.
         let (code, out) = run_str(&Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("tl2+sharded:2".into()),
             clock: Some(tm_stm::ClockScheme::Deferred),
             mutants: false,
@@ -2236,10 +2024,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             parse_args(&a("conformance --clock sharded:16 --jobs 2")),
             Ok(Command::Conformance {
                 jobs: 2,
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 tm: None,
                 clock: Some(tm_stm::ClockScheme::Sharded(16)),
                 mutants: false,
@@ -2254,10 +2039,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn conformance_objects_with_clock_scheme() {
         let (code, out) = run_str(&Command::Conformance {
             jobs: 2,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("sistm".into()),
             clock: Some(tm_stm::ClockScheme::Sharded(2)),
             mutants: false,
@@ -2381,10 +2163,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     fn check_with_artifacts(file: String, metrics: &str, trace: &str) -> Command {
         Command::Check {
             file,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             metrics_out: Some(metrics.to_string()),
             trace_out: Some(trace.to_string()),
             progress: false,
@@ -2407,10 +2186,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             )),
             Ok(Command::Check {
                 file: "f".into(),
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 metrics_out: Some("m.json".into()),
                 trace_out: Some("t.json".into()),
                 progress: true,
@@ -2448,7 +2224,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
         assert!(m.contains("\"schema\": \"tm-metrics/v1\""), "{m}");
         assert!(m.contains("\"search.nodes\""), "{m}");
         assert!(m.contains("\"check.verdict_ns\""), "{m}");
-        assert!(m.contains("\"search.workers\""), "{m}");
+        assert!(m.contains("\"memo.resident\""), "{m}");
         let t = std::fs::read_to_string(&trace).unwrap();
         assert!(t.contains("\"schemaVersion\": 1"), "{t}");
         assert!(t.contains("\"traceEvents\""), "{t}");
@@ -2461,53 +2237,12 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
     }
 
     #[test]
-    fn auto_search_jobs_reports_the_effective_worker_count() {
-        // `--search-jobs 0` resolves to the hardware parallelism; the
-        // parallel line and the metrics snapshot must both report the
-        // resolved count, never the literal 0.
-        let f = fixture("auto-workers", OPAQUE_TRACE);
-        let metrics = artifact_path("auto-workers-metrics");
-        let (code, out) = run_str(&Command::Check {
-            file: f,
-            search_jobs: 0,
-            memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
-            metrics_out: Some(metrics.clone()),
-            trace_out: None,
-            progress: false,
-        });
-        assert_eq!(code, 0, "{out}");
-        let line = out
-            .lines()
-            .find(|l| l.starts_with("parallel:"))
-            .expect("parallel line present under auto jobs");
-        assert!(!line.contains(" 0 workers"), "{line}");
-        let workers: u64 = line
-            .trim_start_matches("parallel: ")
-            .split(' ')
-            .next()
-            .and_then(|n| n.parse().ok())
-            .expect("leading worker count");
-        assert!(workers >= 1, "{line}");
-        let m = std::fs::read_to_string(&metrics).unwrap();
-        assert!(
-            m.contains(&format!("\"search.workers\": {workers}")),
-            "snapshot must record the same effective count: {m}"
-        );
-        let _ = std::fs::remove_file(&metrics);
-    }
-
-    #[test]
     fn conformance_metrics_cover_search_and_stm_layers() {
         let metrics = artifact_path("conf-metrics");
         let trace = artifact_path("conf-trace");
         let cmd = |m: Option<String>, t: Option<String>| Command::Conformance {
             jobs: 1,
-            search_jobs: 1,
             memo_cap: None,
-            split_depth: 8,
-            split_granularity: 1,
             tm: Some("tl2".into()),
             clock: None,
             mutants: false,
@@ -2546,10 +2281,7 @@ inv T2 y read\nret T2 y read 2\ntryC T2\nA T2\n";
             let metrics = artifact_path(tag);
             let (code, out) = run_str(&Command::Conformance {
                 jobs,
-                search_jobs: 1,
                 memo_cap: None,
-                split_depth: 8,
-                split_granularity: 1,
                 tm: Some("tl2".into()),
                 clock: None,
                 mutants: false,

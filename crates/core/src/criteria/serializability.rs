@@ -12,24 +12,24 @@
 //! Neither criterion constrains live or aborted transactions — the gap
 //! opacity fills.
 
-use crate::search::{search, CheckError, Search, SearchConfig, SearchMode};
+use crate::search::{CheckError, SearchConfig, SearchCore, SearchMode};
 use tm_model::{History, SpecRegistry};
 
 /// Final-state serializability of the committed transactions of `h`.
 pub fn is_serializable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
-    Ok(search(h, specs, SearchMode::SERIALIZABILITY)?.holds())
+    is_serializable_with(h, specs, SearchConfig::default())
 }
 
-/// [`is_serializable`] with an explicit search configuration (parallel
-/// workers, bounded memo) — the knob the conformance pipeline threads
+/// [`is_serializable`] with an explicit search configuration (node limit,
+/// bounded memo) — the knob the conformance pipeline threads
 /// through for adversarial recorded histories.
 pub fn is_serializable_with(
     h: &History,
     specs: &SpecRegistry,
     config: SearchConfig,
 ) -> Result<bool, CheckError> {
-    Ok(Search::new(h, specs, SearchMode::SERIALIZABILITY, config)?
-        .run()?
+    Ok(SearchCore::new(specs, SearchMode::SERIALIZABILITY, config)
+        .check_history(h)?
         .holds())
 }
 

@@ -7,13 +7,19 @@
 //! `h1_strictly_serializable_yet_not_opaque` below) is that even this is not
 //! sufficient for TM: it says nothing about live or aborted transactions.
 
-use crate::search::{search, CheckError, SearchMode};
+use crate::search::{CheckError, SearchConfig, SearchCore, SearchMode};
 use tm_model::{History, SpecRegistry};
 
 /// Is `h` strictly serializable (committed transactions, real-time order
 /// preserved)?
 pub fn is_strictly_serializable(h: &History, specs: &SpecRegistry) -> Result<bool, CheckError> {
-    Ok(search(h, specs, SearchMode::STRICT_SERIALIZABILITY)?.holds())
+    Ok(SearchCore::new(
+        specs,
+        SearchMode::STRICT_SERIALIZABILITY,
+        SearchConfig::default(),
+    )
+    .check_history(h)?
+    .holds())
 }
 
 /// Transaction-level linearizability (Section 3.1).

@@ -26,7 +26,7 @@
 //! reader becomes unserializable when the TM aborts it).
 //!
 //! Since the pipeline refactor the monitor no longer re-runs the checker
-//! from scratch: it drives one resumable [`CheckSession`], which keeps the
+//! from scratch: it drives one resumable [`SearchCore`], which keeps the
 //! search's transaction metadata, dead-end memo table, and last witness
 //! across events. A check whose events merely extend the previous witness
 //! costs linear replay time — see `crate::search` for the invalidation
@@ -37,20 +37,20 @@
 //! workload most of its entries describe frontiers of long-resolved
 //! contention that no future check revisits. Configuring
 //! [`SearchConfig::memo_capacity`] bounds the resident entries with
-//! segmented-LRU eviction — sound because a dead-end entry is pure pruning
+//! cost-ranked eviction — sound because a dead-end entry is pure pruning
 //! (see `crate::memo`) — and on the standard contention-knot workload a
 //! table bounded to a quarter of its unbounded peak re-explores only a few
 //! percent more nodes (pinned in `tm-bench`; the `search/*` suite measures
 //! the verdict-latency percentiles under several caps).
 
-use crate::search::{CheckError, CheckSession, SearchConfig, SearchMode, SearchStats};
+use crate::search::{CheckError, SearchConfig, SearchCore, SearchMode, SearchStats};
 use tm_model::{Event, History, SpecRegistry};
 
 /// The monitor's view of the execution so far.
 pub struct OpacityMonitor<'a> {
     specs: &'a SpecRegistry,
     config: SearchConfig,
-    session: CheckSession<'a>,
+    core: SearchCore<'a>,
     history: History,
     checks_run: usize,
     checks_skipped: usize,
@@ -85,7 +85,7 @@ impl<'a> OpacityMonitor<'a> {
         OpacityMonitor {
             specs,
             config,
-            session: CheckSession::new(specs, SearchMode::OPACITY, config),
+            core: SearchCore::new(specs, SearchMode::OPACITY, config),
             history: History::new(),
             checks_run: 0,
             checks_skipped: 0,
@@ -97,16 +97,16 @@ impl<'a> OpacityMonitor<'a> {
 
     /// Overrides the search configuration (call before feeding events).
     ///
-    /// If events were already fed, they are replayed into a fresh session;
+    /// If events were already fed, they are replayed into a fresh core;
     /// a replay failure (possible only if the monitor was already poisoned
     /// by an ill-formed feed) re-latches the error rather than leaving the
-    /// session silently out of sync with the recorded history.
+    /// core silently out of sync with the recorded history.
     pub fn with_config(mut self, config: SearchConfig) -> Self {
         self.config = config;
-        self.session = CheckSession::new(self.specs, SearchMode::OPACITY, config);
+        self.core = SearchCore::new(self.specs, SearchMode::OPACITY, config);
         self.poisoned = None;
         for e in self.history.events() {
-            if let Err(err) = self.session.extend(e) {
+            if let Err(err) = self.core.extend(e) {
                 self.poisoned = Some(err);
                 break;
             }
@@ -151,7 +151,7 @@ impl<'a> OpacityMonitor<'a> {
         if let Some(at) = self.violated_at {
             return Ok(MonitorVerdict::Violated { at });
         }
-        if let Err(err) = self.session.extend(&e) {
+        if let Err(err) = self.core.extend(&e) {
             self.poisoned = Some(err.clone());
             return Err(err);
         }
@@ -160,7 +160,7 @@ impl<'a> OpacityMonitor<'a> {
             return Ok(MonitorVerdict::OpaqueBySkip);
         }
         self.checks_run += 1;
-        let outcome = match self.session.check() {
+        let outcome = match self.core.check() {
             Ok(outcome) => outcome,
             Err(err) => {
                 self.poisoned = Some(err.clone());
@@ -216,24 +216,24 @@ impl<'a> OpacityMonitor<'a> {
     /// incremental path's *total* cost, comparable against the sum of batch
     /// re-checks over all prefixes.
     pub fn lifetime_stats(&self) -> SearchStats {
-        self.session.lifetime_stats()
+        self.core.lifetime_stats()
     }
 
-    /// Dead-end memo entries currently resident in the session's search
-    /// core. Unbounded by default; capped (with segmented-LRU eviction)
+    /// Dead-end memo entries currently resident in the monitor's search
+    /// core. Unbounded by default; capped (with cost-ranked eviction)
     /// when the monitor was configured with
     /// [`SearchConfig::memo_capacity`].
     pub fn memo_resident(&self) -> usize {
-        self.session.memo_resident()
+        self.core.memo_resident()
     }
 
     /// Memo entries evicted by the capacity bound over the monitor's
     /// lifetime (monotone).
     pub fn memo_evictions(&self) -> usize {
-        self.session.memo_evictions()
+        self.core.memo_evictions()
     }
 
-    /// Retunes the memo capacity of the live session (`None` = unbounded)
+    /// Retunes the memo capacity of the live monitor (`None` = unbounded)
     /// without replaying history — the hook through which a memory
     /// governor (the `tm-serve` session table) apportions a global memo
     /// budget across many monitors. Sound at any point in the stream:
@@ -241,7 +241,7 @@ impl<'a> OpacityMonitor<'a> {
     /// (property-tested in `tm-serve`).
     pub fn set_memo_capacity(&mut self, capacity: Option<usize>) {
         self.config.memo_capacity = capacity;
-        self.session.set_memo_capacity(capacity);
+        self.core.set_memo_capacity(capacity);
     }
 }
 

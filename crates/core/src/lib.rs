@@ -19,11 +19,11 @@
 //!   around a **resumable [`SearchCore`]**: the memo table, transaction
 //!   metadata, and last witness survive across checks, so the monitor
 //!   extends the previous prefix's search state instead of recomputing it.
-//!   The core is also **parallel and memory-bounded**: `search_jobs` splits
-//!   a check at its root placements across a work-stealing pool of scoped
-//!   threads sharing a fingerprint-sharded dead-end memo, and
-//!   `memo_capacity` bounds the resident entries with segmented-LRU
-//!   eviction (both knobs on [`SearchConfig`]).
+//!   A check is one in-place depth-first search on the calling thread;
+//!   [`SearchConfig::memo_capacity`] bounds the dead-end table with
+//!   cost-ranked eviction, which costs re-exploration but never
+//!   changes a verdict. Callers that need many checks at once parallelize
+//!   across independent histories, not inside one.
 //!
 //! ## Example: the paper's Figure 1 vs Figure 2
 //!
@@ -58,7 +58,6 @@ pub mod incremental;
 mod memo;
 pub mod opacity;
 pub mod search;
-mod steal;
 
 pub use criteria::{classify, CriteriaProfile};
 pub use explain::{explain_violation, StuckTransaction, ViolationExplanation};
@@ -67,6 +66,6 @@ pub use graphcheck::{construct_graph_witness, decide_via_graph, GraphVerdict, Gr
 pub use incremental::{MonitorVerdict, OpacityMonitor};
 pub use opacity::{is_opaque, is_opaque_with, witness_history, OpacityReport};
 pub use search::{
-    CheckError, CheckSession, Placement, SearchConfig, SearchCore, SearchMode, SearchOutcome,
-    SearchStats, Witness,
+    CheckError, Placement, SearchConfig, SearchCore, SearchMode, SearchOutcome, SearchStats,
+    Witness,
 };

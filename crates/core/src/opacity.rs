@@ -13,7 +13,7 @@
 //! prefix.
 
 use crate::search::{
-    search, CheckError, CheckSession, Placement, SearchConfig, SearchMode, SearchOutcome, Witness,
+    CheckError, Placement, SearchConfig, SearchCore, SearchMode, SearchOutcome, Witness,
 };
 use tm_model::{History, SpecRegistry};
 
@@ -64,11 +64,7 @@ impl OpacityReport {
 
 /// Checks whether `h` is opaque (Definition 1).
 pub fn is_opaque(h: &History, specs: &SpecRegistry) -> Result<OpacityReport, CheckError> {
-    Ok(OpacityReport::from_outcome(search(
-        h,
-        specs,
-        SearchMode::OPACITY,
-    )?))
+    is_opaque_with(h, specs, SearchConfig::default())
 }
 
 /// [`is_opaque`] with an explicit search configuration (for the ablation
@@ -78,8 +74,7 @@ pub fn is_opaque_with(
     specs: &SpecRegistry,
     config: SearchConfig,
 ) -> Result<OpacityReport, CheckError> {
-    let mut session = CheckSession::new(specs, SearchMode::OPACITY, config);
-    let out = session.check_history(h)?;
+    let out = SearchCore::new(specs, SearchMode::OPACITY, config).check_history(h)?;
     Ok(OpacityReport::from_outcome(out))
 }
 

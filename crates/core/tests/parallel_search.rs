@@ -1,30 +1,26 @@
-//! Property and battery tests for the parallel, memory-bounded search:
-//! the work-stealing check — root splits plus depth-adaptive subtree
-//! donations — must be **verdict-identical** to the sequential engine on
-//! arbitrary histories, with any witness it produces re-validating, and a
-//! bounded memo must never change an answer.
+//! Property tests for the search's configuration knobs on arbitrary
+//! histories: `search_jobs` — which no longer starts workers — must leave
+//! every outcome exactly as at 1, and a bounded memo must never change an
+//! answer, in one-shot checks and in resumed sessions alike.
 
 use proptest::prelude::*;
 use tm_harness::randhist::{random_history, GenConfig};
-use tm_model::SpecRegistry;
-use tm_opacity::opacity::witness_history;
-use tm_opacity::search::Search;
-use tm_opacity::{CheckSession, SearchConfig, SearchMode};
+use tm_model::{History, SpecRegistry};
+use tm_opacity::{SearchConfig, SearchCore, SearchMode, SearchOutcome};
 
-fn par(jobs: usize) -> SearchConfig {
-    SearchConfig {
-        search_jobs: jobs,
-        ..SearchConfig::default()
-    }
+/// A one-shot opacity check of `h` on a fresh core.
+fn check(h: &History, specs: &SpecRegistry, config: SearchConfig) -> SearchOutcome {
+    SearchCore::new(specs, SearchMode::OPACITY, config)
+        .check_history(h)
+        .unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random histories across three generator profiles: the parallel
-    /// verdict equals the sequential one for every worker count, and any
-    /// parallel witness re-validates through the model crate's own
-    /// legality machinery.
+    /// Random histories across three generator profiles: every
+    /// `search_jobs` value, "auto" (0) included, yields the same outcome —
+    /// witness and statistics — as the default of 1.
     #[test]
     fn parallel_search_is_verdict_identical_on_random_histories(
         seed in 0u64..10_000,
@@ -51,89 +47,18 @@ proptest! {
         };
         let h = random_history(&config, seed);
         let specs = SpecRegistry::registers();
-        let seq = Search::new(&h, &specs, SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        for jobs in [2usize, 4, 8] {
-            let out = Search::new(&h, &specs, SearchMode::OPACITY, par(jobs))
-                .unwrap()
-                .run()
-                .unwrap();
-            prop_assert_eq!(out.holds(), seq.holds(), "jobs={} on {}", jobs, h);
-            if let Some(w) = &out.witness {
-                let s = witness_history(&h, w);
-                prop_assert!(
-                    tm_model::all_txs_legal(&s, &specs).is_ok(),
-                    "jobs={} produced a witness that does not re-validate on {}",
-                    jobs,
-                    h
-                );
-            }
-        }
-    }
-
-    /// The splitting knobs sweep every interesting corner — disabled,
-    /// split-everything, the default window, coarse granularity — and none
-    /// of them may change a verdict or yield a non-validating witness.
-    #[test]
-    fn split_knobs_are_verdict_identical_on_random_histories(
-        seed in 0u64..10_000,
-        profile in 0usize..2,
-    ) {
-        let config = match profile {
-            0 => GenConfig::default(),
-            _ => GenConfig {
-                txs: 6,
-                objs: 2,
-                max_ops: 5,
-                noise: 0.4,
-                commit_pending: 0.3,
-                abort: 0.2,
-            },
-        };
-        let h = random_history(&config, seed);
-        let specs = SpecRegistry::registers();
-        let seq = Search::new(&h, &specs, SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        for (jobs, split_depth, split_granularity) in
-            [(4usize, 0usize, 1usize), (4, 1, 1), (4, 2, 3), (8, 64, 1), (3, 8, 2)]
-        {
+        let one = check(&h, &specs, SearchConfig::default());
+        for jobs in [0usize, 2, 8] {
             let config = SearchConfig {
                 search_jobs: jobs,
-                split_depth,
-                split_granularity,
                 ..SearchConfig::default()
             };
-            let out = Search::new(&h, &specs, SearchMode::OPACITY, config)
-                .unwrap()
-                .run()
-                .unwrap();
-            prop_assert_eq!(
-                out.holds(),
-                seq.holds(),
-                "jobs={} split_depth={} split_granularity={} on {}",
-                jobs,
-                split_depth,
-                split_granularity,
-                h
-            );
-            if let Some(w) = &out.witness {
-                let s = witness_history(&h, w);
-                prop_assert!(
-                    tm_model::all_txs_legal(&s, &specs).is_ok(),
-                    "split_depth={} produced a witness that does not re-validate on {}",
-                    split_depth,
-                    h
-                );
-            }
+            prop_assert_eq!(&check(&h, &specs, config), &one, "jobs={} on {}", jobs, h);
         }
     }
 
-    /// A tight memo capacity must never change a verdict either — eviction
-    /// only costs recomputation — including combined with parallel workers.
+    /// A tight memo capacity must never change a verdict — eviction only
+    /// costs recomputation.
     #[test]
     fn bounded_memo_is_verdict_identical_on_random_histories(
         seed in 0u64..10_000,
@@ -141,30 +66,20 @@ proptest! {
     ) {
         let h = random_history(&GenConfig::default(), seed);
         let specs = SpecRegistry::registers();
-        let seq = Search::new(&h, &specs, SearchMode::OPACITY, SearchConfig::default())
-            .unwrap()
-            .run()
-            .unwrap();
-        for jobs in [1usize, 3] {
-            let config = SearchConfig {
-                search_jobs: jobs,
-                memo_capacity: Some(cap),
-                ..SearchConfig::default()
-            };
-            let out = Search::new(&h, &specs, SearchMode::OPACITY, config)
-                .unwrap()
-                .run()
-                .unwrap();
-            prop_assert_eq!(out.holds(), seq.holds(), "cap={} jobs={} on {}", cap, jobs, h);
-        }
+        let unbounded = check(&h, &specs, SearchConfig::default());
+        let config = SearchConfig {
+            memo_capacity: Some(cap),
+            ..SearchConfig::default()
+        };
+        let out = check(&h, &specs, config);
+        prop_assert_eq!(out.holds(), unbounded.holds(), "cap={} on {}", cap, h);
     }
 
     /// Session use (the monitor's shape): extending and re-checking a
-    /// parallel bounded session at every prefix matches fresh sequential
-    /// checks — the shared memo's invalidation rules compose with eviction
-    /// and with cross-worker sharing.
+    /// bounded session at every prefix matches fresh checks — the memo's
+    /// invalidation rules compose with eviction.
     #[test]
-    fn parallel_bounded_session_matches_batch_on_prefixes(seed in 0u64..3_000) {
+    fn bounded_session_matches_batch_on_prefixes(seed in 0u64..3_000) {
         let config = GenConfig {
             txs: 5,
             objs: 2,
@@ -175,30 +90,16 @@ proptest! {
         };
         let h = random_history(&config, seed);
         let specs = SpecRegistry::registers();
-        // An aggressive split window (donate from depth 2 down, one branch at
-        // a time) stresses the donated-frame memo rules on every prefix.
         let session_config = SearchConfig {
-            search_jobs: 2,
             memo_capacity: Some(8),
-            split_depth: 2,
-            split_granularity: 1,
             ..SearchConfig::default()
         };
-        let mut session = CheckSession::new(&specs, SearchMode::OPACITY, session_config);
+        let mut session = SearchCore::new(&specs, SearchMode::OPACITY, session_config);
         for (i, e) in h.events().iter().enumerate() {
             session.extend(e).unwrap();
             let live = session.check().unwrap().holds();
-            let fresh = Search::new(
-                &h.prefix(i + 1),
-                &specs,
-                SearchMode::OPACITY,
-                SearchConfig::default(),
-            )
-            .unwrap()
-            .run()
-            .unwrap()
-            .holds();
-            prop_assert_eq!(live, fresh, "prefix {} of {}", i + 1, h);
+            let batch = check(&h.prefix(i + 1), &specs, SearchConfig::default()).holds();
+            prop_assert_eq!(live, batch, "prefix {} of {}", i + 1, h);
         }
     }
 }

@@ -261,14 +261,11 @@ pub fn conformance_parallel(
 /// [`conformance_parallel`] with an explicit serialization-search
 /// configuration for the per-history opacity/serializability checks.
 ///
-/// This is how the *intra-history* parallel search composes with the
-/// *inter-history* sweep sharding: `jobs` spreads independent `(probe,
-/// schedule)` pairs across workers, while `search.search_jobs` parallelizes
-/// the root placements of each individual check and `search.memo_capacity`
-/// bounds its dead-end table. Verdicts are independent of both knobs (the
-/// parallel search is verdict-identical and eviction only costs
-/// recomputation), so the report stays byte-identical — pinned by the
-/// property tests.
+/// `jobs` spreads independent `(probe, schedule)` pairs across workers,
+/// and `search.memo_capacity` bounds each individual check's dead-end
+/// table. Verdicts are independent of both (the sweep merges in a fixed
+/// order and eviction only costs recomputation), so the report stays
+/// byte-identical — pinned by the property tests.
 pub fn conformance_parallel_with(
     make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
     jobs: usize,
@@ -349,6 +346,9 @@ pub fn conformance_parallel_with(
     }
 
     // ---- threaded lost-update probe ----------------------------------------
+    // Real threads race here, so the STM's aborts and clock ticks follow
+    // the OS scheduler: they are filed as scheduling-dependent counts,
+    // outside the counters the jobs-agreement contract covers.
     let stm = make(1);
     stm.recorder().set_enabled(false);
     let per_thread = 150;
@@ -356,12 +356,14 @@ pub fn conformance_parallel_with(
         for t in 0..2 {
             let stm = stm.as_ref();
             scope.spawn(move || {
-                for _ in 0..per_thread {
-                    run_tx(stm, t, |tx| {
-                        let v = tx.read(0)?;
-                        tx.write(0, v + 1)
-                    });
-                }
+                tm_obs::scheduling_dependent(|| {
+                    for _ in 0..per_thread {
+                        run_tx(stm, t, |tx| {
+                            let v = tx.read(0)?;
+                            tx.write(0, v + 1)
+                        });
+                    }
+                })
             });
         }
     });

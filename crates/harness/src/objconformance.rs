@@ -637,11 +637,10 @@ pub fn object_conformance(
 }
 
 /// [`object_conformance`] with an explicit serialization-search
-/// configuration for the per-history checks: `search.search_jobs`
-/// parallelizes the root placements of each individual opacity /
-/// serializability decision and `search.memo_capacity` bounds its dead-end
-/// table. Verdicts — and therefore the rendered battery — are invariant
-/// under both knobs.
+/// configuration for the per-history checks: `search.memo_capacity` bounds
+/// the dead-end table of each individual opacity / serializability
+/// decision. Verdicts — and therefore the rendered battery — are invariant
+/// under it and under `jobs`.
 pub fn object_conformance_with(
     make: &(dyn Fn(usize) -> Box<dyn Stm> + Sync),
     kinds: &[ObjectKind],

@@ -4,6 +4,11 @@
 //! workloads give *realism*: genuinely concurrent threads hammering a TM,
 //! with semantic invariants checked at the end. Used by the throughput
 //! benchmark (E14) and the threaded opacity-validation tests (E11).
+//!
+//! What the worker threads count on an attached observability handle
+//! (commits, aborts, clock ticks) follows the OS scheduler, so every
+//! worker runs inside [`tm_obs::scheduling_dependent`] and its counts land
+//! in the snapshot's scheduling-dependent section.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,6 +16,15 @@ use rand::{Rng, SeedableRng};
 use crate::objconformance::ObjectKind;
 use tm_stm::objects::{run_typed_tx, TypedStm};
 use tm_stm::{run_tx, Stm};
+
+/// Spawns a worker on `scope` whose counts are filed as
+/// scheduling-dependent.
+fn spawn_racing<'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() + Send + 'scope,
+) {
+    scope.spawn(|| tm_obs::scheduling_dependent(f));
+}
 
 /// Aggregated results of a workload run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -63,7 +77,7 @@ pub fn bank(
     std::thread::scope(|scope| {
         for t in 0..threads {
             let stats = &stats;
-            scope.spawn(move || {
+            spawn_racing(scope, move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0x9E37_79B9));
                 let mut local = WorkloadStats::default();
                 for _ in 0..transfers {
@@ -117,7 +131,7 @@ pub fn counter(stm: &dyn Stm, threads: usize, increments: usize) -> WorkloadStat
     std::thread::scope(|scope| {
         for t in 0..threads {
             let stats = &stats;
-            scope.spawn(move || {
+            spawn_racing(scope, move || {
                 let mut local = WorkloadStats::default();
                 for _ in 0..increments {
                     let (_, rs) = run_tx(stm, t, |tx| {
@@ -164,7 +178,7 @@ pub fn commit_storm(stm: &dyn Stm, threads: usize, txs_per_thread: usize) -> Wor
     std::thread::scope(|scope| {
         for t in 0..threads {
             let stats = &stats;
-            scope.spawn(move || {
+            spawn_racing(scope, move || {
                 let mut local = WorkloadStats::default();
                 for i in 0..txs_per_thread {
                     let (_, rs) = run_tx(stm, t, |tx| tx.write(t, (i + 1) as i64));
@@ -205,7 +219,7 @@ pub fn read_mostly(
     std::thread::scope(|scope| {
         for t in 0..threads {
             let stats = &stats;
-            scope.spawn(move || {
+            spawn_racing(scope, move || {
                 let mut rng = StdRng::seed_from_u64(seed ^ (t as u64).wrapping_mul(0xDEAD_BEEF));
                 let mut local = WorkloadStats::default();
                 for i in 0..txs {
@@ -272,7 +286,7 @@ pub fn typed_storm(
         for t in 0..threads {
             let stats = &stats;
             let consumed = &consumed;
-            scope.spawn(move || {
+            spawn_racing(scope, move || {
                 let mut local = WorkloadStats::default();
                 for i in 0..ops {
                     let (_, rs) = match kind {

@@ -1,16 +1,15 @@
 //! The conformance batteries are invariant under the serialization
-//! search's performance knobs: parallel workers (`search_jobs`), the
-//! bounded dead-end memo (`memo_capacity`), and the depth-adaptive
-//! splitting discipline (`split_depth`/`split_granularity`) may change how
-//! fast a history is judged, never what the judgment is — pinned here for
-//! the full register battery and the typed-object battery.
+//! search's memory knob: the bounded dead-end memo (`memo_capacity`) may
+//! change how fast a history is judged, never what the judgment is —
+//! pinned here for the full register battery and the typed-object
+//! battery.
 
 use tm_harness::{
     conformance_parallel, conformance_parallel_with, object_conformance, object_conformance_with,
     ConformanceReport, ObjectKind,
 };
 use tm_model::SpecRegistry;
-use tm_opacity::{CheckSession, SearchConfig, SearchMode};
+use tm_opacity::{SearchConfig, SearchCore, SearchMode};
 use tm_stm::{MutantStm, Mutation, TmRegistry};
 
 /// Masks the one probabilistic component (real-thread lost-update probe)
@@ -19,55 +18,6 @@ fn normalize(mut r: ConformanceReport) -> ConformanceReport {
     r.no_lost_updates = true;
     r.violations.retain(|v| !v.starts_with("counter:"));
     r
-}
-
-#[test]
-fn register_battery_is_invariant_under_parallel_search() {
-    // A clean TM and a convicted mutant: both the passing rows and the
-    // violation lists (content and order) must survive intra-history
-    // parallelism.
-    let reg = TmRegistry::suite();
-    for tm in ["tl2", "sistm"] {
-        let factory = reg.factory(tm).expect("suite TM");
-        let baseline = normalize(conformance_parallel(&factory, 1));
-        for jobs in [2usize, 4, 8] {
-            let search = SearchConfig {
-                search_jobs: jobs,
-                ..SearchConfig::default()
-            };
-            let parallel = normalize(conformance_parallel_with(&factory, 2, search));
-            assert_eq!(baseline, parallel, "{tm} under search_jobs={jobs}");
-        }
-    }
-}
-
-#[test]
-fn register_battery_is_invariant_under_split_knobs() {
-    // The splitting discipline — disabled, maximally eager, coarse — may
-    // redistribute subtrees across workers but never change a row of the
-    // battery, clean TM and convicted mutant alike.
-    type Factory<'a> = &'a (dyn Fn(usize) -> Box<dyn tm_stm::Stm> + Sync);
-    let tl2 = TmRegistry::suite().factory("tl2").expect("suite TM");
-    let mutant = |k: usize| -> Box<dyn tm_stm::Stm> {
-        Box::new(MutantStm::new(k, Mutation::SkipReadValidation))
-    };
-    let factories: [(&str, Factory); 2] = [("tl2", &tl2), ("mutant", &mutant)];
-    for (name, factory) in factories {
-        let baseline = normalize(conformance_parallel(factory, 1));
-        for (split_depth, split_granularity) in [(0usize, 1usize), (1, 1), (4, 2), (64, 3)] {
-            let search = SearchConfig {
-                search_jobs: 4,
-                split_depth,
-                split_granularity,
-                ..SearchConfig::default()
-            };
-            let split = normalize(conformance_parallel_with(factory, 2, search));
-            assert_eq!(
-                baseline, split,
-                "{name} under split_depth={split_depth} split_granularity={split_granularity}"
-            );
-        }
-    }
 }
 
 #[test]
@@ -97,23 +47,19 @@ fn register_battery_is_invariant_under_tiny_memo_capacity() {
 #[test]
 fn typed_object_battery_is_invariant_under_search_knobs() {
     // The rich-semantics battery (incl. SI-STM's object-level write-skew
-    // conviction) under combined parallel + bounded search.
+    // conviction) under bounded search, with the sweep sharded.
     let reg = TmRegistry::suite();
     let kinds = [ObjectKind::Set, ObjectKind::Counter, ObjectKind::Queue];
     for tm in ["tl2", "sistm"] {
         let factory = reg.factory(tm).expect("suite TM");
         let baseline = object_conformance(&factory, &kinds, 1);
-        for (jobs, cap) in [(4usize, None), (1, Some(8)), (2, Some(16))] {
+        for cap in [8usize, 16] {
             let search = SearchConfig {
-                search_jobs: jobs,
-                memo_capacity: cap,
+                memo_capacity: Some(cap),
                 ..SearchConfig::default()
             };
             let knobs = object_conformance_with(&factory, &kinds, 2, search);
-            assert_eq!(
-                baseline, knobs,
-                "{tm} typed battery under search_jobs={jobs} memo_cap={cap:?}"
-            );
+            assert_eq!(baseline, knobs, "{tm} typed battery under memo_cap={cap}");
         }
     }
 }
@@ -134,8 +80,8 @@ fn session_eviction_counter_is_reported_and_monotone() {
         },
         42,
     );
-    let mut unbounded = CheckSession::new(&specs, SearchMode::OPACITY, SearchConfig::default());
-    let mut bounded = CheckSession::new(
+    let mut unbounded = SearchCore::new(&specs, SearchMode::OPACITY, SearchConfig::default());
+    let mut bounded = SearchCore::new(
         &specs,
         SearchMode::OPACITY,
         SearchConfig {
@@ -159,69 +105,5 @@ fn session_eviction_counter_is_reported_and_monotone() {
             "stats and accessor must agree"
         );
         last = lifetime;
-    }
-}
-
-#[test]
-fn session_split_counters_are_monotone_and_consistent() {
-    // SearchStats.splits / donated_tasks: a split-disabled parallel session
-    // reports zero forever; an aggressive-splitting session's lifetime
-    // counters never decrease and every split donates at least one task.
-    let specs = SpecRegistry::registers();
-    let h = tm_harness::random_history(
-        &tm_harness::GenConfig {
-            txs: 7,
-            objs: 2,
-            max_ops: 5,
-            noise: 0.3,
-            commit_pending: 0.2,
-            abort: 0.2,
-        },
-        42,
-    );
-    let mut disabled = CheckSession::new(
-        &specs,
-        SearchMode::OPACITY,
-        SearchConfig {
-            search_jobs: 4,
-            split_depth: 0,
-            ..SearchConfig::default()
-        },
-    );
-    let mut splitting = CheckSession::new(
-        &specs,
-        SearchMode::OPACITY,
-        SearchConfig {
-            search_jobs: 4,
-            split_depth: 2,
-            split_granularity: 1,
-            ..SearchConfig::default()
-        },
-    );
-    let (mut last_splits, mut last_donated) = (0usize, 0usize);
-    for e in h.events() {
-        disabled.extend(e).unwrap();
-        splitting.extend(e).unwrap();
-        let d = disabled.check().unwrap();
-        let s = splitting.check().unwrap();
-        assert_eq!(d.holds(), s.holds(), "verdicts diverge at {e}");
-        assert_eq!(d.stats.splits, 0, "split_depth=0 must never split");
-        assert_eq!(d.stats.donated_tasks, 0, "split_depth=0 must never donate");
-        assert!(
-            s.stats.donated_tasks >= s.stats.splits,
-            "every split donates at least one task: {:?}",
-            s.stats
-        );
-        let life = splitting.lifetime_stats();
-        assert!(
-            life.splits >= last_splits,
-            "lifetime splits must be monotone"
-        );
-        assert!(
-            life.donated_tasks >= last_donated,
-            "lifetime donated_tasks must be monotone"
-        );
-        last_splits = life.splits;
-        last_donated = life.donated_tasks;
     }
 }

@@ -8,12 +8,22 @@
 //! ## The one merge primitive
 //!
 //! Every telemetry merge in the workspace — `SearchStats::absorb` folding
-//! per-worker counters in deterministic worker order, histogram merges, the
+//! a check into a session's lifetime totals, histogram merges, the
 //! registry snapshot — bottoms out in [`merge_counters`]: element-wise
 //! monotone addition of two equal-length counter slices. Addition is
-//! associative and commutative, so any merge order yields the same totals;
-//! the parallel search still merges in worker order (worker 0 first) so
-//! *sequences* of intermediate states are reproducible too.
+//! associative and commutative, so any merge order yields the same totals.
+//!
+//! ## Deterministic and scheduling-dependent counters
+//!
+//! A counter is *deterministic* when its total is a function of the input
+//! alone — the search's node counts, the commits of a replayed schedule —
+//! and *scheduling-dependent* when it follows the OS scheduler, like the
+//! aborts of real threads racing on one register. The determinism
+//! contracts (`tmcheck conformance` output and counters identical for
+//! every `--jobs`) cover only the first kind, so the snapshot keeps the
+//! two apart: counts added inside [`scheduling_dependent`] land in their
+//! own `scheduling_dependent_counters` section of the `tm-metrics/v1`
+//! document instead of `counters`.
 //!
 //! ## Zero cost when disabled
 //!
@@ -55,6 +65,7 @@ pub use histogram::{bucket_index, bucket_upper_bound, Histogram, BUCKETS};
 pub use registry::{ObsSink, Snapshot};
 pub use span::{SpanGuard, SpanRecord};
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The version tag written into every `tm-metrics` document.
@@ -82,6 +93,31 @@ pub fn merge_counters(into: &mut [u64], from: &[u64]) {
     for (a, b) in into.iter_mut().zip(from) {
         *a = a.saturating_add(*b);
     }
+}
+
+thread_local! {
+    /// Depth of the [`scheduling_dependent`] scopes open on this thread.
+    static SCHED_DEPTH: Cell<u32> = const { Cell::new(0) };
+}
+
+/// Runs `f` with every counter this thread adds inside it labelled
+/// scheduling-dependent (see the crate docs). The label is per thread:
+/// threads spawned inside `f` must wrap their own bodies.
+pub fn scheduling_dependent<R>(f: impl FnOnce() -> R) -> R {
+    struct Close;
+    impl Drop for Close {
+        fn drop(&mut self) {
+            SCHED_DEPTH.with(|d| d.set(d.get() - 1));
+        }
+    }
+    SCHED_DEPTH.with(|d| d.set(d.get() + 1));
+    let _close = Close;
+    f()
+}
+
+/// Is this thread inside a [`scheduling_dependent`] scope?
+fn in_scheduling_dependent_scope() -> bool {
+    SCHED_DEPTH.with(|d| d.get() > 0)
 }
 
 /// A standalone monotone counter: the sanctioned home for cross-thread
@@ -148,10 +184,11 @@ impl ObsHandle {
         self.sink.is_some()
     }
 
-    /// Adds `n` to the monotone counter `name` (no-op when disabled).
+    /// Adds `n` to the monotone counter `name` (no-op when disabled),
+    /// filed as scheduling-dependent inside [`scheduling_dependent`].
     pub fn counter_add(&self, name: &'static str, n: u64) {
         if let Some(sink) = self.sink {
-            sink.counter_add(name, n);
+            sink.counter_add(name, n, in_scheduling_dependent_scope());
         }
     }
 
@@ -259,15 +296,15 @@ mod tests {
         assert_eq!(format!("{obs:?}"), "ObsHandle(enabled)");
         obs.counter_add("search.nodes", 10);
         obs.counter_add("search.nodes", 5);
-        obs.gauge_set("search.workers", 4);
-        obs.gauge_set("search.workers", 8);
+        obs.gauge_set("memo.resident", 4);
+        obs.gauge_set("memo.resident", 8);
         obs.observe("check.verdict_ns", 1500);
         {
             span!(obs, "check", "search");
         }
         let snap = obs.snapshot().expect("enabled");
         assert_eq!(snap.counter("search.nodes"), Some(15));
-        assert_eq!(snap.gauge("search.workers"), Some(8));
+        assert_eq!(snap.gauge("memo.resident"), Some(8));
         let h = snap.histogram("check.verdict_ns").expect("recorded");
         assert_eq!(h.count(), 1);
         assert_eq!(h.sum(), 1500);
@@ -275,6 +312,28 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "check");
         assert_eq!(spans[0].cat, "search");
+    }
+
+    #[test]
+    fn scheduling_dependent_counts_are_filed_apart() {
+        let obs = ObsHandle::install();
+        obs.counter_add("stm.aborts", 1);
+        scheduling_dependent(|| {
+            obs.counter_add("stm.aborts", 5);
+            // The label is per thread: a spawned thread wraps its body.
+            std::thread::scope(|scope| {
+                scope.spawn(|| scheduling_dependent(|| obs.counter_add("stm.aborts", 7)));
+            });
+        });
+        // The scope closed: back to the deterministic section.
+        obs.counter_add("stm.aborts", 2);
+        let snap = obs.snapshot().unwrap();
+        assert_eq!(snap.counter("stm.aborts"), Some(3));
+        assert_eq!(snap.scheduling_dependent_counter("stm.aborts"), Some(12));
+        let json = snap.to_json();
+        let sched = json.find("\"scheduling_dependent_counters\"").unwrap();
+        assert!(json.find("\"gauges\"").unwrap() < sched, "{json}");
+        assert!(json[sched..].contains("\"stm.aborts\": 12"), "{json}");
     }
 
     #[test]

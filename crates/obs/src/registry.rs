@@ -17,6 +17,8 @@ use crate::METRICS_SCHEMA;
 #[derive(Default)]
 struct Metrics {
     counters: BTreeMap<&'static str, u64>,
+    /// Counters added inside [`crate::scheduling_dependent`].
+    sched_counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
@@ -55,9 +57,14 @@ impl ObsSink {
         self.t0
     }
 
-    pub(crate) fn counter_add(&self, name: &'static str, n: u64) {
+    pub(crate) fn counter_add(&self, name: &'static str, n: u64, sched: bool) {
         let mut m = lock(&self.metrics);
-        let c = m.counters.entry(name).or_insert(0);
+        let map = if sched {
+            &mut m.sched_counters
+        } else {
+            &mut m.counters
+        };
+        let c = map.entry(name).or_insert(0);
         *c = c.saturating_add(n);
     }
 
@@ -100,6 +107,7 @@ impl ObsSink {
         let m = lock(&self.metrics);
         Snapshot {
             counters: m.counters.clone(),
+            sched_counters: m.sched_counters.clone(),
             gauges: m.gauges.clone(),
             histograms: m.histograms.clone(),
         }
@@ -111,14 +119,22 @@ impl ObsSink {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Snapshot {
     counters: BTreeMap<&'static str, u64>,
+    sched_counters: BTreeMap<&'static str, u64>,
     gauges: BTreeMap<&'static str, u64>,
     histograms: BTreeMap<&'static str, Histogram>,
 }
 
 impl Snapshot {
-    /// The value of counter `name`, if it was ever touched.
+    /// The value of the deterministic counter `name`, if it was ever
+    /// touched.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
+    }
+
+    /// The value of the scheduling-dependent counter `name` (counted inside
+    /// [`crate::scheduling_dependent`]), if it was ever touched.
+    pub fn scheduling_dependent_counter(&self, name: &str) -> Option<u64> {
+        self.sched_counters.get(name).copied()
     }
 
     /// The value of gauge `name`, if it was ever set.
@@ -147,7 +163,8 @@ impl Snapshot {
     }
 
     /// Renders the snapshot as a `tm-metrics/v1` JSON document: a stable
-    /// schema tag, then `counters` and `gauges` as flat objects and each
+    /// schema tag, then `counters` (deterministic), `gauges` and
+    /// `scheduling_dependent_counters` as flat objects and each
     /// histogram as `{count, sum, p50, p95, p99, buckets: [[index, n], …]}`
     /// (sparse buckets). Deterministic: names iterate in order and nothing
     /// depends on wall-clock time.
@@ -159,6 +176,8 @@ impl Snapshot {
         push_map(&mut out, self.counters());
         out.push_str("},\n  \"gauges\": {");
         push_map(&mut out, self.gauges());
+        out.push_str("},\n  \"scheduling_dependent_counters\": {");
+        push_map(&mut out, self.sched_counters.iter().map(|(&k, &v)| (k, v)));
         out.push_str("},\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             if i > 0 {

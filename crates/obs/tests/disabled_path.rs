@@ -45,7 +45,7 @@ fn disabled_path_allocates_nothing() {
     let before = allocations();
     for i in 0..10_000u64 {
         obs.counter_add("search.nodes", i);
-        obs.gauge_set("search.workers", i);
+        obs.gauge_set("memo.resident", i);
         obs.observe("check.verdict_ns", i);
         let _guard = obs.span("check", "search");
     }

@@ -4,7 +4,7 @@
 //! The session is where the daemon's multiplexing discipline bottoms out in
 //! the paper's machinery: every accepted `feed` event eventually flows
 //! through [`OpacityMonitor::feed`], which drives the same resumable
-//! `CheckSession` a standalone caller would — so a session's verdict
+//! `SearchCore` a standalone caller would — so a session's verdict
 //! stream is a pure function of its own event stream. Scheduling (when the
 //! inbox drains), memory governance (what `memo_capacity` the monitor runs
 //! under), and backpressure (whether a `feed` was accepted at all) can

@@ -2,7 +2,7 @@
 //! to standalone checking**. Every history fed as one of ≥ 64 interleaved
 //! concurrent sessions through the replay path must yield byte-identical
 //! verdict frames to a direct single-session monitor run (which drives the
-//! same resumable `CheckSession` a standalone caller would) — including
+//! same resumable `SearchCore` a standalone caller would) — including
 //! under a constrained memo budget, where the governor is shrinking every
 //! session's memo table as sessions come and go.
 

@@ -173,9 +173,11 @@ impl From<&JsonEvent> for Event {
 // protocol (`tm-serve/v1` frames carry trace events inside framing objects),
 // which reuses this hand-rolled layer rather than growing a dependency.
 
-/// A parsed JSON document node. Numbers are restricted to `i64`: every
-/// number in the trace schema (versions, transaction ids, integer values)
-/// fits, and anything else is a schema violation anyway.
+/// A parsed JSON document node. Integers are `i64`: every number in the
+/// trace schema (versions, transaction ids, integer values) fits. Numbers
+/// with a fraction or an exponent parse as [`Json::Float`], which no trace
+/// or frame field accepts (a schema error there); the bench artifacts use
+/// them.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -184,6 +186,8 @@ pub enum Json {
     Bool(bool),
     /// An integer (the only number shape the trace formats use).
     Int(i64),
+    /// A number with a fraction or an exponent.
+    Float(f64),
     /// A string.
     Str(String),
     /// An array.
@@ -231,6 +235,11 @@ impl Json {
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Int(i) => {
                 let _ = write!(out, "{i}");
+            }
+            // `{:?}` keeps a fraction (`1.0`, not `1`), so the value parses
+            // back as a float.
+            Json::Float(f) => {
+                let _ = write!(out, "{f:?}");
             }
             Json::Str(s) => write_json_string(s, out),
             Json::Arr(items) => {
@@ -537,17 +546,42 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.bump();
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        // Consumes a digit run, reporting whether it was non-empty.
+        let digits = |p: &mut Self| {
+            let from = p.pos;
+            while matches!(p.peek(), Some(b'0'..=b'9')) {
+                p.bump();
+            }
+            p.pos > from
+        };
+        let mut well_formed = digits(self);
+        let mut float = false;
+        if self.peek() == Some(b'.') {
+            float = true;
             self.bump();
+            well_formed &= digits(self);
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
-            return Err(self.err("non-integer numbers are not used by the trace format"));
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            float = true;
+            self.bump();
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.bump();
+            }
+            well_formed &= digits(self);
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("digits are valid UTF-8");
-        text.parse::<i64>()
-            .map(Json::Int)
-            .map_err(|_| self.err(format!("invalid number `{text}`")))
+        let parsed = if !well_formed {
+            None
+        } else if float {
+            text.parse::<f64>()
+                .ok()
+                .filter(|f| f.is_finite())
+                .map(Json::Float)
+        } else {
+            text.parse::<i64>().ok().map(Json::Int)
+        };
+        parsed.ok_or_else(|| self.err(format!("invalid number `{text}`")))
     }
 }
 
@@ -978,6 +1012,25 @@ mod tests {
         let err = event_from_doc(bad.get("event").unwrap()).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("unknown event kind"), "{err}");
+    }
+
+    #[test]
+    fn fractions_and_exponents_parse_as_floats() {
+        let doc = Json::parse(r#"{"a": -1.5, "b": 2e3, "c": 8.00, "d": 42, "e": 1E-2}"#).unwrap();
+        assert_eq!(doc.get("a"), Some(&Json::Float(-1.5)));
+        assert_eq!(doc.get("b"), Some(&Json::Float(2000.0)));
+        assert_eq!(doc.get("c"), Some(&Json::Float(8.0)));
+        assert_eq!(doc.get("d"), Some(&Json::Int(42)));
+        assert_eq!(doc.get("e"), Some(&Json::Float(0.01)));
+        assert_eq!(
+            doc.to_compact_string(),
+            r#"{"a":-1.5,"b":2000.0,"c":8.0,"d":42,"e":0.01}"#
+        );
+        for bad in ["1.", "1e", "-", "1e+", "1e999"] {
+            assert!(Json::parse(bad).is_err(), "accepted: {bad}");
+        }
+        // No trace field takes a float.
+        assert!(from_json(r#"{"version":1.0,"events":[]}"#).is_err());
     }
 
     #[test]
