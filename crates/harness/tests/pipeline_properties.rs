@@ -12,8 +12,8 @@
 //!    one** for every in-tree TM and mutant: sharding the schedule sweep
 //!    across worker threads must be invisible in the report.
 
+use tm_harness::conformance_parallel;
 use tm_harness::randhist::{random_history, GenConfig};
-use tm_harness::{conformance_parallel, ConformanceReport};
 use tm_model::SpecRegistry;
 use tm_opacity::incremental::{MonitorVerdict, OpacityMonitor};
 use tm_opacity::opacity::is_opaque;
@@ -89,14 +89,6 @@ fn incremental_monitor_equals_batch_prefix_checks_on_random_histories() {
     assert!(clean > 20, "only {clean} clean histories sampled");
 }
 
-/// Masks the one probabilistic probe (real-thread lost updates) so the
-/// comparison pins exactly the deterministic pipeline.
-fn normalize(mut r: ConformanceReport) -> ConformanceReport {
-    r.no_lost_updates = true;
-    r.violations.retain(|v| !v.starts_with("counter:"));
-    r
-}
-
 #[test]
 fn conformance_parallel_is_identical_to_sequential_for_all_tms_and_mutants() {
     // The nine in-tree TMs…
@@ -109,8 +101,8 @@ fn conformance_parallel_is_identical_to_sequential_for_all_tms_and_mutants() {
                 .find(|s| s.name() == name)
                 .expect("name stable")
         };
-        let sequential = normalize(conformance_parallel(&factory, 1));
-        let parallel = normalize(conformance_parallel(&factory, 4));
+        let sequential = conformance_parallel(&factory, 1);
+        let parallel = conformance_parallel(&factory, 4);
         assert_eq!(sequential, parallel, "{name}: jobs=4 diverged");
         assert_eq!(sequential.row(), parallel.row(), "{name}: rendered row");
     }
@@ -122,8 +114,8 @@ fn conformance_parallel_is_identical_to_sequential_for_all_tms_and_mutants() {
     ] {
         let factory =
             move |k: usize| -> Box<dyn tm_stm::Stm> { Box::new(MutantStm::new(k, mutation)) };
-        let sequential = normalize(conformance_parallel(&factory, 1));
-        let parallel = normalize(conformance_parallel(&factory, 4));
+        let sequential = conformance_parallel(&factory, 1);
+        let parallel = conformance_parallel(&factory, 4);
         assert_eq!(sequential, parallel, "{mutation:?}: jobs=4 diverged");
     }
 }

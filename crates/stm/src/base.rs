@@ -346,6 +346,33 @@ pub fn peek_u64(a: &AtomicU64) -> u64 {
     a.load(Ordering::Acquire)
 }
 
+/// Unmetered release-store of a `u64` base word: the version store's
+/// snapshot announcements, bookkeeping outside the step accounting.
+pub(crate) fn poke_u64(a: &AtomicU64, v: u64) {
+    a.store(v, Ordering::Release);
+}
+
+/// Unmetered compare-and-swap of a `u64` base word (claiming a free
+/// announcement slot); true iff it swapped.
+pub(crate) fn claim_u64(a: &AtomicU64, old: u64, new: u64) -> bool {
+    a.compare_exchange(old, new, Ordering::AcqRel, Ordering::Acquire)
+        .is_ok()
+}
+
+/// Unmetered wrapping add of `delta` to a `u64` base word (`delta` may
+/// be `u64::MAX` to subtract one).
+pub(crate) fn add_u64(a: &AtomicU64, delta: u64) {
+    a.fetch_add(delta, Ordering::AcqRel);
+}
+
+/// A sequentially consistent fence: orders an announcement store before
+/// the clock read that validates it, and a committer's clock read before
+/// its scan of the announcements (the store-buffering pattern in
+/// `DESIGN.md`, "Snapshot safety for the multi-version TMs").
+pub(crate) fn seq_cst_fence() {
+    std::sync::atomic::fence(Ordering::SeqCst);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -50,7 +50,8 @@
 //! timestamp becomes observable, otherwise a transaction beginning between
 //! the clock advance and the version append adopts a snapshot timestamp
 //! whose versions are not yet visible — a lost update (the regression note
-//! in [`crate::mvstm`]). [`GlobalClock::reserve`] hands out the next
+//! in `versions.rs`, the multi-version TMs' shared version store).
+//! [`GlobalClock::reserve`] hands out the next
 //! timestamp without making it sampleable; [`GlobalClock::publish`] makes
 //! it (and everything below it) visible. **Contract:** a `reserve` …
 //! `publish` pair must be mutually exclusive with every other `reserve`,

@@ -10,9 +10,9 @@
 //! | [`astm::AstmStm`] | ✔ | ✔ | ✔ | ✔ | **Θ(read set)** — same point, lazy-acquire protocol |
 //! | [`tl2::Tl2Stm`] | ✘ | ✔ | ✔ | ✔ | O(1) |
 //! | [`visible::VisibleStm`] | ✔ | ✔ | ✘ | ✔ | O(1) |
-//! | [`mvstm::MvStm`] | ✘ | ✘ (multi-version) | ✔ | ✔ | O(log versions) |
+//! | [`mvstm::MvStm`] | ✘ | ✘ (multi-version) | ✔ | ✔ | O(log live versions) |
 //! | [`nonopaque::NonOpaqueStm`] | ✔ | ✔ | ✔ | ✘ | O(1) |
-//! | [`sistm::SiStm`] | ✘ | ✘ (multi-version) | ✔ | ✘ (write skew) | O(log versions) |
+//! | [`sistm::SiStm`] | ✘ | ✘ (multi-version) | ✔ | ✘ (write skew) | O(log live versions) |
 //! | [`tpl::TplStm`] | ✔ | ✔ | ✘ | ✔ (rigorous) | O(1) |
 //! | [`glock::GlockStm`] | ✔ | ✔ | ✘ | ✔ | O(1), zero concurrency |
 //!
@@ -22,6 +22,14 @@
 //!   so that recorded executions can be fed to the `tm-opacity` checkers;
 //! * meters its accesses to base shared objects per operation through
 //!   [`base::Meter`] — the exact step counts of Theorem 3, noise-free.
+//!
+//! The two multi-version TMs share one version store, which trims each
+//! register's version list below a snapshot watermark (the oldest snapshot
+//! a live or future transaction can hold). A snapshot read binary-searches
+//! the live versions only, so it costs O(log live versions) steps, and the
+//! lists no longer grow with the number of commits (while more than eight
+//! snapshots are live, an overflow count pauses trimming). See `DESIGN.md`,
+//! "Snapshot safety for the multi-version TMs".
 //!
 //! # Typed transactional objects
 //!
@@ -79,6 +87,7 @@ pub mod sistm;
 pub mod tl2;
 pub mod tpl;
 pub mod trace_cells;
+mod versions;
 pub mod visible;
 
 pub use api::{

@@ -6,36 +6,29 @@
 //! read-only transactions never abort — even when concurrent writers
 //! overwrite everything (footnote 2 of the paper: complexity "can be
 //! bounded by a function independent of k", here the per-object version
-//! count).
+//! count). A read binary-searches the object's live versions, so it costs
+//! O(log live versions) steps: the version store shared with
+//! [`crate::sistm`] drops every version older than the newest one at or
+//! below the oldest snapshot a live or future transaction can hold.
 //!
 //! Update transactions validate their read set once at commit under a
 //! global commit lock (first-committer-wins) and install new versions at a
 //! fresh timestamp.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
-use crate::clock::GlobalClock;
 use crate::config::{RetryPolicy, StmConfig};
 use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
+use crate::trace_cells::StepProbe;
+use crate::versions::{Snapshot, VersionStore};
 use tm_model::TxId;
-
-#[derive(Debug)]
-struct MvObj {
-    /// Committed versions `(timestamp, value)`, ascending by timestamp.
-    /// Timestamp 0 is the initial value.
-    versions: Mutex<Vec<(u64, i64)>>,
-}
 
 /// The multi-version TM over `k` registers.
 #[derive(Debug)]
 pub struct MvStm {
-    objs: Vec<MvObj>,
-    clock: Box<dyn GlobalClock>,
-    commit_lock: Mutex<()>,
+    pub(crate) store: VersionStore,
     recorder: Recorder,
     retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
@@ -52,44 +45,17 @@ impl MvStm {
     /// scheme, initial values, recording, retry policy).
     pub fn with_config(cfg: &StmConfig) -> Self {
         MvStm {
-            objs: (0..cfg.k())
-                .map(|i| MvObj {
-                    versions: Mutex::new(vec![(0, cfg.initial(i))]),
-                })
-                .collect(),
-            clock: cfg.build_clock(),
-            commit_lock: Mutex::new(()),
+            store: VersionStore::new(cfg),
             recorder: cfg.build_recorder(),
             retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
 
-    /// The value of `obj` in the committed snapshot at `ts` (binary search;
-    /// each probe is one step).
-    fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
-        m.touch(CellId::Record(obj as u32), AccessKind::Read); // version-list access
-        let versions = self.objs[obj].versions.lock();
-        // Binary search for the latest version with timestamp <= ts.
-        let mut lo = 0usize;
-        let mut hi = versions.len();
-        while hi - lo > 1 {
-            m.step();
-            let mid = (lo + hi) / 2;
-            if versions[mid].0 <= ts {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        versions[lo].1
-    }
-
-    /// The newest committed timestamp of `obj`.
-    fn latest_ts(&self, obj: usize, m: &mut Meter) -> u64 {
-        m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        let versions = self.objs[obj].versions.lock();
-        versions.last().expect("version list never empty").0
+    /// Committed versions currently kept across all registers: the versions
+    /// some live or future snapshot may read, plus those not yet trimmed.
+    pub fn resident_versions(&self) -> usize {
+        self.store.resident_versions()
     }
 }
 
@@ -100,8 +66,8 @@ pub struct MvTx<'a> {
     /// The OS-thread slot running this transaction (the clock's home-shard
     /// hint).
     thread: usize,
-    /// Snapshot timestamp sampled at begin.
-    start_ts: u64,
+    /// The snapshot announced at begin.
+    snap: Snapshot<'a>,
     /// Read set (object indices) — needed only for update-commit validation.
     reads: Vec<usize>,
     /// Redo log.
@@ -116,17 +82,16 @@ impl Stm for MvStm {
     }
 
     fn k(&self) -> usize {
-        self.objs.len()
+        self.store.k()
     }
 
     fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
         let id = self.recorder.fresh_tx();
-        let start_ts = self.clock.peek();
         Box::new(MvTx {
             stm: self,
             id,
             thread,
-            start_ts,
+            snap: self.store.begin(thread),
             reads: Vec::new(),
             writes: Vec::new(),
             meter: Meter::with_probe(thread, self.probe.clone()),
@@ -165,7 +130,10 @@ impl Tx for MvTx<'_> {
             return Ok(v);
         }
         // Snapshot read: never fails, never validates the read set.
-        let v = self.stm.value_at(obj, self.start_ts, &mut self.meter);
+        let v = self
+            .stm
+            .store
+            .value_at(obj, self.snap.ts(), &mut self.meter);
         if !self.reads.contains(&obj) {
             self.reads.push(obj);
         }
@@ -191,52 +159,31 @@ impl Tx for MvTx<'_> {
         self.meter.begin_op(OpKind::Commit);
         if self.writes.is_empty() {
             // Read-only transactions commit unconditionally: their snapshot
-            // at start_ts is a legal serialization point.
+            // is a legal serialization point.
             self.meter.end_op();
             self.finished = true;
             self.stm.recorder.commit(self.id);
             return Ok(());
         }
-        self.meter.acquire(CellId::CommitLock);
-        let guard = self.stm.commit_lock.lock();
-        // Validation: nothing we read or write was committed past start_ts.
-        let stm = self.stm;
-        let valid = self
-            .reads
-            .iter()
-            .chain(self.writes.iter().map(|(o, _)| o))
-            .all(|&obj| stm.latest_ts(obj, &mut self.meter) <= self.start_ts);
-        if !valid {
-            drop(guard);
-            self.meter.release(CellId::CommitLock);
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
-            return Err(Aborted);
-        }
-        // Publish-last ordering (regression: found by the invariant-checked
-        // throughput bench): versions must be installed BEFORE the clock
-        // advance makes the new timestamp observable, otherwise a
-        // transaction beginning between advance and append adopts a
-        // snapshot timestamp whose versions are not yet visible, reads
-        // stale data, and still passes first-committer-wins validation — a
-        // lost update. The clock's reserve/publish pair expresses exactly
-        // this: `reserve` hands out the timestamp without surfacing it,
-        // `publish` surfaces it after the appends. We hold the commit
-        // lock, satisfying the pair's mutual-exclusion contract.
-        let wv = self.stm.clock.reserve(self.thread, &mut self.meter);
-        for &(obj, v) in &self.writes {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Write);
-            stm.objs[obj].versions.lock().push((wv, v));
-        }
-        self.stm.clock.publish(wv, &mut self.meter);
-        drop(guard);
-        self.meter.release(CellId::CommitLock);
+        // Validation: nothing we read or write was committed past the
+        // snapshot.
+        let result = self.stm.store.commit(
+            self.thread,
+            self.snap.ts(),
+            self.reads
+                .iter()
+                .copied()
+                .chain(self.writes.iter().map(|&(o, _)| o)),
+            &self.writes,
+            &mut self.meter,
+        );
         self.meter.end_op();
         self.finished = true;
-        self.stm.recorder.commit(self.id);
-        Ok(())
+        match result {
+            Ok(()) => self.stm.recorder.commit(self.id),
+            Err(_) => self.stm.recorder.abort(self.id),
+        }
+        result
     }
 
     fn abort(mut self: Box<Self>) {
@@ -267,7 +214,7 @@ impl Drop for MvTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Aborted};
 
     #[test]
     fn roundtrip() {
@@ -349,17 +296,22 @@ mod tests {
 
     #[test]
     fn versions_accumulate() {
+        // A reader pinned at ts 0 keeps every later version readable: the
+        // watermark cannot pass it, so no commit trims anything.
         let stm = MvStm::new(1);
-        for v in 1..=3 {
-            run_tx(&stm, 0, |tx| tx.write(0, v));
+        let mut reader = stm.begin(0);
+        for v in 1..=100 {
+            run_tx(&stm, 1, |tx| tx.write(0, v));
         }
         let mut m = Meter::new();
         m.begin_op(OpKind::Read);
-        assert_eq!(stm.value_at(0, 0, &mut m), 0);
-        assert_eq!(stm.value_at(0, 1, &mut m), 1);
-        assert_eq!(stm.value_at(0, 2, &mut m), 2);
-        assert_eq!(stm.value_at(0, 999, &mut m), 3);
+        for ts in 0..=100 {
+            assert_eq!(stm.store.value_at(0, ts, &mut m), ts as i64);
+        }
+        assert_eq!(stm.store.value_at(0, 999, &mut m), 100);
         m.end_op();
+        assert_eq!(reader.read(0).unwrap(), 0);
+        reader.commit().unwrap();
     }
 
     #[test]

@@ -30,23 +30,15 @@
 //! which is precisely the paper's argument that opacity is the conjunction
 //! users actually need.
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
-use crate::api::{Aborted, Stm, StmProperties, Tx, TxResult};
+use crate::api::{Stm, StmProperties, Tx, TxResult};
 use crate::base::{Meter, OpKind, StepReport};
-use crate::clock::GlobalClock;
 use crate::config::{RetryPolicy, StmConfig};
 use crate::recorder::Recorder;
-use crate::trace_cells::{AccessKind, CellId, StepProbe};
+use crate::trace_cells::StepProbe;
+use crate::versions::{Snapshot, VersionStore};
 use tm_model::TxId;
-
-#[derive(Debug)]
-struct SiObj {
-    /// Committed versions `(timestamp, value)`, ascending by timestamp.
-    /// Timestamp 0 is the initial value.
-    versions: Mutex<Vec<(u64, i64)>>,
-}
 
 /// The snapshot-isolation TM over `k` registers.
 ///
@@ -65,9 +57,7 @@ struct SiObj {
 /// ```
 #[derive(Debug)]
 pub struct SiStm {
-    objs: Vec<SiObj>,
-    clock: Box<dyn GlobalClock>,
-    commit_lock: Mutex<()>,
+    pub(crate) store: VersionStore,
     recorder: Recorder,
     retry: RetryPolicy,
     probe: Option<Arc<dyn StepProbe>>,
@@ -84,42 +74,17 @@ impl SiStm {
     /// scheme, initial values, recording, retry policy).
     pub fn with_config(cfg: &StmConfig) -> Self {
         SiStm {
-            objs: (0..cfg.k())
-                .map(|i| SiObj {
-                    versions: Mutex::new(vec![(0, cfg.initial(i))]),
-                })
-                .collect(),
-            clock: cfg.build_clock(),
-            commit_lock: Mutex::new(()),
+            store: VersionStore::new(cfg),
             recorder: cfg.build_recorder(),
             retry: cfg.retry_policy(),
             probe: cfg.step_probe(),
         }
     }
 
-    /// The value of `obj` in the committed snapshot at `ts`.
-    fn value_at(&self, obj: usize, ts: u64, m: &mut Meter) -> i64 {
-        m.touch(CellId::Record(obj as u32), AccessKind::Read); // version-list access
-        let versions = self.objs[obj].versions.lock();
-        let mut lo = 0usize;
-        let mut hi = versions.len();
-        while hi - lo > 1 {
-            m.step();
-            let mid = (lo + hi) / 2;
-            if versions[mid].0 <= ts {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        versions[lo].1
-    }
-
-    /// The newest committed timestamp of `obj`.
-    fn latest_ts(&self, obj: usize, m: &mut Meter) -> u64 {
-        m.touch(CellId::Record(obj as u32), AccessKind::Read);
-        let versions = self.objs[obj].versions.lock();
-        versions.last().expect("version list never empty").0
+    /// Committed versions currently kept across all registers: the versions
+    /// some live or future snapshot may read, plus those not yet trimmed.
+    pub fn resident_versions(&self) -> usize {
+        self.store.resident_versions()
     }
 }
 
@@ -130,8 +95,8 @@ pub struct SiTx<'a> {
     /// The OS-thread slot running this transaction (the clock's home-shard
     /// hint).
     thread: usize,
-    /// Snapshot timestamp sampled at begin.
-    start_ts: u64,
+    /// The snapshot announced at begin.
+    snap: Snapshot<'a>,
     /// Redo log. The read set is deliberately *not* tracked: snapshot
     /// isolation never validates reads — that omission is the write-skew
     /// hole.
@@ -146,17 +111,16 @@ impl Stm for SiStm {
     }
 
     fn k(&self) -> usize {
-        self.objs.len()
+        self.store.k()
     }
 
     fn begin(&self, thread: usize) -> Box<dyn Tx + '_> {
         let id = self.recorder.fresh_tx();
-        let start_ts = self.clock.peek();
         Box::new(SiTx {
             stm: self,
             id,
             thread,
-            start_ts,
+            snap: self.store.begin(thread),
             writes: Vec::new(),
             meter: Meter::with_probe(thread, self.probe.clone()),
             finished: false,
@@ -193,7 +157,10 @@ impl Tx for SiTx<'_> {
             return Ok(v);
         }
         // Snapshot read: never fails, never validates anything.
-        let v = self.stm.value_at(obj, self.start_ts, &mut self.meter);
+        let v = self
+            .stm
+            .store
+            .value_at(obj, self.snap.ts(), &mut self.meter);
         self.meter.end_op();
         self.stm.recorder.ret_read(self.id, obj, v);
         Ok(v)
@@ -221,41 +188,23 @@ impl Tx for SiTx<'_> {
             self.stm.recorder.commit(self.id);
             return Ok(());
         }
-        self.meter.acquire(CellId::CommitLock);
-        let guard = self.stm.commit_lock.lock();
         // First-committer-wins over the WRITE set only (the read set is
         // not consulted — compare MvStm::commit, which also validates
         // reads and is therefore opaque).
-        let stm = self.stm;
-        let valid = self
-            .writes
-            .iter()
-            .all(|&(obj, _)| stm.latest_ts(obj, &mut self.meter) <= self.start_ts);
-        if !valid {
-            drop(guard);
-            self.meter.release(CellId::CommitLock);
-            self.meter.end_op();
-            self.finished = true;
-            self.stm.recorder.abort(self.id);
-            return Err(Aborted);
-        }
-        // Publish-last ordering, exactly as in MvStm (see the regression
-        // note there): reserve the timestamp, install versions, then
-        // publish — all under the commit lock, as the clock's
-        // reserve/publish contract requires.
-        let wv = self.stm.clock.reserve(self.thread, &mut self.meter);
-        for &(obj, v) in &self.writes {
-            self.meter
-                .touch(CellId::Record(obj as u32), AccessKind::Write);
-            stm.objs[obj].versions.lock().push((wv, v));
-        }
-        self.stm.clock.publish(wv, &mut self.meter);
-        drop(guard);
-        self.meter.release(CellId::CommitLock);
+        let result = self.stm.store.commit(
+            self.thread,
+            self.snap.ts(),
+            self.writes.iter().map(|&(o, _)| o),
+            &self.writes,
+            &mut self.meter,
+        );
         self.meter.end_op();
         self.finished = true;
-        self.stm.recorder.commit(self.id);
-        Ok(())
+        match result {
+            Ok(()) => self.stm.recorder.commit(self.id),
+            Err(_) => self.stm.recorder.abort(self.id),
+        }
+        result
     }
 
     fn abort(mut self: Box<Self>) {
@@ -286,7 +235,7 @@ impl Drop for SiTx<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::run_tx;
+    use crate::api::{run_tx, Aborted};
 
     #[test]
     fn roundtrip() {

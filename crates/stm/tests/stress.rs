@@ -106,6 +106,92 @@ fn mvstm_counter_no_lost_updates_under_sustained_contention() {
     }
 }
 
+/// The multi-version TMs' snapshot watermark under real contention: two
+/// threads transfer while a third holds long audits open (a yield between
+/// reads). Every audit sees the conserved total, and the versions the TM
+/// keeps stay below a quarter of the 400k it writes. (Without trimming they
+/// reach all 400k; with it they peak at the versions written during the
+/// longest audit, times the lists' doubling slack: about 12k–18k on a
+/// 2-vCPU host in a debug build.)
+#[test]
+fn multi_version_lists_stay_bounded_under_long_audits() {
+    bounded_under_audits(
+        tm_stm::MvStm::with_config(&bank_config()),
+        tm_stm::MvStm::resident_versions,
+    );
+    bounded_under_audits(
+        tm_stm::SiStm::with_config(&bank_config()),
+        tm_stm::SiStm::resident_versions,
+    );
+}
+
+const ACCOUNTS: usize = 16;
+const BALANCE: i64 = 100;
+
+fn bank_config() -> tm_stm::StmConfig {
+    tm_stm::StmConfig::new(ACCOUNTS)
+        .recording(false)
+        .initial_values(vec![BALANCE; ACCOUNTS])
+}
+
+fn bounded_under_audits<S: Stm + Sync>(stm: S, resident: fn(&S) -> usize) {
+    const TRANSFERS: usize = 100_000;
+    let total = BALANCE * ACCOUNTS as i64;
+    let audit = |stm: &S, pause: bool| {
+        let mut tx = stm.begin(2);
+        let mut sum = 0;
+        for a in 0..ACCOUNTS {
+            sum += tx.read(a).expect("snapshot reads never abort");
+            if pause {
+                std::thread::yield_now();
+            }
+        }
+        tx.commit().expect("read-only commits never abort");
+        sum
+    };
+    let done = std::sync::atomic::AtomicUsize::new(0);
+    let (audits, most) = std::thread::scope(|scope| {
+        for t in 0..2 {
+            let (stm, done) = (&stm, &done);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(77 + t as u64);
+                for _ in 0..TRANSFERS {
+                    let from = rng.gen_range(0..ACCOUNTS);
+                    let to = (from + 1 + rng.gen_range(0..ACCOUNTS - 1)) % ACCOUNTS;
+                    let amount = rng.gen_range(1..10i64);
+                    run_tx(stm, t, |tx| {
+                        let a = tx.read(from)?;
+                        let b = tx.read(to)?;
+                        tx.write(from, a - amount)?;
+                        tx.write(to, b + amount)
+                    });
+                }
+                done.fetch_add(1, std::sync::atomic::Ordering::Release);
+            });
+        }
+        let auditor = scope.spawn(|| {
+            let (mut audits, mut most) = (0, 0);
+            loop {
+                let finished = done.load(std::sync::atomic::Ordering::Acquire) == 2;
+                assert_eq!(audit(&stm, true), total, "{}: audit", stm.name());
+                audits += 1;
+                most = most.max(resident(&stm));
+                if finished {
+                    break (audits, most);
+                }
+            }
+        });
+        auditor.join().expect("auditor")
+    });
+    assert_eq!(audit(&stm, false), total, "{}: final total", stm.name());
+    let written = 2 * 2 * TRANSFERS; // two threads, two writes a transfer
+    assert!(
+        most < written / 4,
+        "{}: {most} resident versions after {audits} audits",
+        stm.name()
+    );
+}
+
 /// Two-thread concurrent snapshot reads: any opaque TM must never let a
 /// reader commit with a fractured view of a two-register invariant.
 #[test]
